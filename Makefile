@@ -56,8 +56,9 @@ vuln:
 # Everything the driver gates on, in one target.
 ci: vet vuln test-race test-kernels bench-smoke
 
-# Batched vs per-packet inference cost (the ns/step metric must show the
-# batched engine at least 2x cheaper per step for B >= 16).
+# Batched vs per-packet inference cost per model step at the fused widths
+# composed runs issue (B = 1, 2, 4, 7, 8, 16, 32); batched/mix is the
+# width-histogram-weighted ns/step of production traffic.
 bench:
 	$(GO) test -run xxx -bench BenchmarkMimicInference -benchtime 0.5s -count 2 .
 
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzGemmKernels -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzGemmBackwardKernels -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzGateKernels -fuzztime 30s ./internal/ml
+	$(GO) test -run xxx -fuzz FuzzRowKernel -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzW1 -fuzztime 30s ./internal/metrics
 	$(GO) test -run xxx -fuzz FuzzHistogramObserve -fuzztime 30s ./internal/obs
 
@@ -121,4 +123,4 @@ serve-smoke:
 
 clean:
 	$(GO) clean -testcache
-	rm -f mimicnet.test ml.test bench_output.txt BENCH_compose.json BENCH_serve.json BENCH_train.json
+	rm -f mimicnet.test ml.test bench_output.txt BENCH_serve.json BENCH_train.json

@@ -226,11 +226,22 @@ func BenchmarkFig23_ComputeConsumption(b *testing.B) {
 	})
 }
 
+// inferenceWidthMix is the fused-step width histogram of a composed
+// warm-sweep run (N = 8, 16 and 32 compositions of set-up models): the
+// share of StepLanes calls, in percent, at each benchmarked width, with
+// every measured width folded onto the nearest one in log scale. A third
+// of all calls advance a single lane and 71% fewer than 8.
+var inferenceWidthMix = []struct{ lanes, pct int }{
+	{1, 33}, {2, 9}, {4, 19}, {7, 11}, {8, 9}, {16, 13}, {32, 6},
+}
+
 // BenchmarkMimicInference measures the batched Mimic inference engine
-// against the per-packet path at several batch widths B (one lane per
-// Mimic×direction stream, as in a composition of B+1 clusters). The
-// reported ns/step metric is the per-model-step cost; the batched engine
-// should be at least 2x cheaper per step for B >= 16.
+// against the per-packet path at the fused-step widths composed runs
+// actually issue (one lane per Mimic×direction stream with a request in
+// the flush round). The reported ns/step metric is the per-model-step
+// cost. batched/mix replays 100 calls with inferenceWidthMix's width
+// shares, so its ns/step is the histogram-weighted cost of one step in
+// production; the per-width rows show where that cost comes from.
 func BenchmarkMimicInference(b *testing.B) {
 	cfg := ml.DefaultModelConfig(23, 8) // feature width of the default topology
 	model, err := ml.NewModel(cfg)
@@ -265,17 +276,23 @@ func BenchmarkMimicInference(b *testing.B) {
 		}
 		return row
 	}
-	for _, B := range []int{1, 8, 16, 64} {
+	// FLOP accounting: FLOPsPerStep multiply-adds per lane-step, and
+	// the weight bytes each step streams (8 bytes per multiply-add
+	// pair), so -bench output carries GFLOP/s and MB/s per mode and
+	// per GEMM kernel family (MIMICNET_GEMM selects the kernel).
+	flopStep := model.FLOPsPerStep()
+	maxLanes := 0
+	for _, w := range inferenceWidthMix {
+		if w.lanes > maxLanes {
+			maxLanes = w.lanes
+		}
+	}
+	for _, w := range inferenceWidthMix {
+		B := w.lanes
 		xs := make([][]float64, B)
 		for i := range xs {
 			xs[i] = featureVec()
 		}
-
-		// FLOP accounting: FLOPsPerStep multiply-adds per lane-step, and
-		// the weight bytes each step streams (8 bytes per multiply-add
-		// pair), so -bench output carries GFLOP/s and MB/s per mode and
-		// per GEMM kernel family (MIMICNET_GEMM selects the kernel).
-		flopStep := model.FLOPsPerStep()
 
 		b.Run(fmt.Sprintf("per-packet/B=%d", B), func(b *testing.B) {
 			sms := make([]*ml.StatefulModel, B)
@@ -309,6 +326,38 @@ func BenchmarkMimicInference(b *testing.B) {
 			b.ReportMetric(flopStep*float64(b.N*B)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
+
+	b.Run("batched/mix", func(b *testing.B) {
+		bat := ml.NewBatchedStatefulModel(model, maxLanes, nil)
+		lanes := make([]int, maxLanes)
+		xs := make([][]float64, maxLanes)
+		for i := range lanes {
+			lanes[i] = i
+			xs[i] = featureVec()
+		}
+		preds := make([]ml.Prediction, maxLanes)
+		// Interleave the widths (one call per width per pass while its
+		// share lasts) so no width runs as one long, cache-warm streak.
+		var calls []int
+		steps := 0
+		for pass := 0; pass < 100; pass++ {
+			for _, w := range inferenceWidthMix {
+				if pass < w.pct {
+					calls = append(calls, w.lanes)
+					steps += w.lanes
+				}
+			}
+		}
+		b.SetBytes(int64(8 * flopStep / 2 * float64(steps)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, B := range calls {
+				bat.StepLanes(lanes[:B], xs[:B], nil, preds[:B])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+		b.ReportMetric(flopStep*float64(b.N*steps)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
 }
 
 // trainModeStats is one row of BENCH_train.json.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -410,6 +411,22 @@ func TestMimicModelSerialization(t *testing.T) {
 	}
 	if _, err := LoadModels([]byte(`garbage`)); err == nil {
 		t.Error("garbage blob accepted")
+	}
+	// A blob that parses but lost a model's heads or trunk must come
+	// back as an error, not a panic inside ml.Model.UnmarshalJSON.
+	for _, field := range []string{"lat_head", "trunk"} {
+		var doc map[string]any
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		delete(doc["ingress"].(map[string]any)["model"].(map[string]any), field)
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModels(bad); err == nil {
+			t.Errorf("blob without ingress %s accepted", field)
+		}
 	}
 }
 

@@ -74,8 +74,8 @@ type Outcome struct {
 // A Mimic has two inference modes. Standalone (sched == nil), every
 // boundary packet runs one model step inline via the per-packet
 // StatefulModel. Attached to an InferenceScheduler, steps are deferred
-// and fused with the other Mimics' steps into batched matrix–matrix
-// calls — bit-identical results, delivered through the Async methods'
+// and fused with the other Mimics' steps into batched model steps —
+// bit-identical results, delivered through the Async methods'
 // callbacks at flush time.
 type Mimic struct {
 	Cluster int

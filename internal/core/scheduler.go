@@ -9,7 +9,7 @@ import (
 // of running one LSTM step per boundary packet as it arrives, each
 // Mimic×direction stream becomes a *lane* of a BatchedStatefulModel
 // (all Mimics share the same trained weights, so their steps are one
-// fused matrix–matrix product). Requests collected within a short
+// fused model step). Requests collected within a short
 // simulation window are serviced together by a single flush event.
 //
 // Correctness rests on two invariants:
@@ -49,8 +49,10 @@ type InferenceScheduler struct {
 	BatchedSteps uint64
 	MaxBatch     int
 
-	// flush scratch, reused across rounds
+	// flush scratch, reused across rounds; feats holds one round's
+	// feature rows back to back and xs slices it per lane
 	lanes []int
+	feats []float64
 	xs    [][]float64
 	want  []bool
 	preds []ml.Prediction
@@ -149,7 +151,7 @@ func (is *InferenceScheduler) flush() {
 		for round := 0; ; round++ {
 			// Round k gathers the k-th pending request of every lane, so
 			// per-lane processing order matches arrival order exactly.
-			is.lanes, is.xs, is.want = is.lanes[:0], is.xs[:0], is.want[:0]
+			is.lanes, is.feats, is.xs, is.want = is.lanes[:0], is.feats[:0], is.xs[:0], is.want[:0]
 			is.reqs = is.reqs[:0]
 			for lane := range q {
 				if round >= len(q[lane]) {
@@ -164,12 +166,21 @@ func (is *InferenceScheduler) flush() {
 					req.info = info
 				}
 				is.lanes = append(is.lanes, lane)
-				is.xs = append(is.xs, req.d.ex.Features(req.info))
+				is.feats = req.d.ex.FeaturesAppend(is.feats, req.info)
 				is.want = append(is.want, !req.feed)
 				is.reqs = append(is.reqs, req)
 			}
 			if len(is.lanes) == 0 {
 				break
+			}
+			// Slice the rows only once the round's appends are done: an
+			// append may move feats. StepLanes copies the rows it reads.
+			width := is.models[dir].Model().Cfg.Features
+			if len(is.feats) != len(is.lanes)*width {
+				panic("core: feature rows do not match the direction model's width")
+			}
+			for i := range is.lanes {
+				is.xs = append(is.xs, is.feats[i*width:(i+1)*width:(i+1)*width])
 			}
 			if cap(is.preds) < len(is.lanes) {
 				is.preds = make([]ml.Prediction, len(is.lanes))

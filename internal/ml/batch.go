@@ -5,20 +5,23 @@ import (
 	"sync"
 )
 
-// This file implements the batched Mimic inference engine's ML half:
-// a cache-blocked, pool-parallel GEMM (MulLanes), fused batched LSTM
-// steps (the GRU's live in gru.go), and BatchedStatefulModel — a bank of
-// B independent hidden states advanced through one fused step per
-// "round". The simulator half (request collection and flushing) lives in
-// internal/core's InferenceScheduler.
+// This file implements the batched Mimic inference engine's ML half —
+// fused batched LSTM steps (the GRU's live in gru.go) and
+// BatchedStatefulModel, a bank of B independent hidden states advanced
+// through one fused step per "round" — plus the lane-tiled,
+// pool-parallel GEMMs of the minibatch trainer (MulLanes, MulLanesT,
+// AddGradLanes). The simulator half (request collection and flushing)
+// lives in internal/core's InferenceScheduler.
 //
 // The per-packet path computes one matrix–vector product per packet per
-// direction per Mimic — the least hardware-friendly shape possible. The
-// batched path turns the same work into matrix–matrix products over all
-// concurrently pending streams, amortizing weight-matrix traffic across
-// lanes and eliminating the per-step allocations of the per-vector path,
-// while keeping per-element arithmetic order identical so predictions
-// match the per-packet path bit-for-bit.
+// direction per Mimic. A fused step still computes one matrix–vector
+// product per lane, since rounds rarely hold more than a few lanes, but
+// through the row kernel (rows.go): each bank keeps k-major weight
+// copies and vectorizes over output rows, so even a single lane runs at
+// full SIMD width, with no packing and no per-step allocation. The
+// lanes of a step share one pool dispatch at most. Per-element
+// arithmetic order is identical, so predictions match the per-packet
+// path bit-for-bit.
 
 // GEMM tile sizes: a weight-row block stays resident while it is reused
 // across a block of lanes. Tiles are the unit of pool parallelism.
@@ -26,7 +29,8 @@ const (
 	gemmRowBlock  = 32
 	gemmLaneBlock = 16
 	// gemmSerialFLOPs is the work floor (multiply-adds) below which
-	// tiling/dispatch overhead exceeds the win and MulLanes runs serial.
+	// tiling/dispatch overhead exceeds the win: the trainer's GEMMs and
+	// a fused inference step run serial below it.
 	gemmSerialFLOPs = 1 << 13
 )
 
@@ -85,8 +89,7 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 	// the scalar family) fall through to a pure-Go loop with 4
 	// independent accumulators: a single Dot is one serial dependency
 	// chain and is latency-bound; multiple chains fill the FPU pipeline
-	// and reuse the weight row from registers/L1. This is where the
-	// batched engine's per-step speedup comes from on a single core.
+	// and reuse the weight row from registers/L1.
 	tileLanes := gemmKernel().tileLanes
 	kernel := func(rlo, rhi, alo, ahi int) {
 		a0 := alo
@@ -388,22 +391,57 @@ func (m *Matrix) mulLanesSparse(r0, r1 int, xs []float64, n int, out []float64, 
 }
 
 // lstmBatchState is the recurrent state of `lanes` independent LSTM
-// streams, stored densely (lanes × H), plus step scratch grown on demand.
+// streams, stored densely (lanes × H), the bank's k-major weight copies,
+// and per-lane step scratch grown on demand.
 type lstmBatchState struct {
-	h, c   []float64
-	hidden int
-	// scratch for one fused step over up to cap(zx)/(4·hidden) lanes
-	hg, cg, zx, zh []float64
+	batchStep
+	cell *LSTM
+	h, c []float64
+	// k-major copies of Wx and Wh (rows.go), taken once per bank: the
+	// weights must not change while the bank is live.
+	wxT, whT kMajor
+	// pre-activation scratch, 4H per lane of the step in flight
+	zx, zh []float64
+}
+
+// batchStep holds the arguments of the fused step in flight, so the
+// per-lane body can be a method value bound once per bank rather than a
+// closure allocated per step.
+type batchStep struct {
+	lanes  []int
+	xs, hs []float64
+	rows   rowKernel
+	wide   bool
+	laneFn func(int)
+}
+
+// run starts one fused step over lanes: one call of laneFn per lane,
+// inline when the step's multiply-adds fall under gemmSerialFLOPs (or
+// the pool is serial), else a single pool dispatch over the lanes.
+func (b *batchStep) run(lanes []int, xs, hs []float64, flopsPerLane int, pool *Pool) {
+	impl := gemmKernel()
+	b.lanes, b.xs, b.hs, b.rows, b.wide = lanes, xs, hs, impl.rows, impl.wideGates
+	n := len(lanes)
+	if pool.Workers() <= 1 || n*flopsPerLane < gemmSerialFLOPs {
+		for a := 0; a < n; a++ {
+			b.laneFn(a)
+		}
+	} else {
+		pool.For(n, b.laneFn)
+	}
 }
 
 // NewBatchState returns zeroed state for `lanes` LSTM lanes.
 func (l *LSTM) NewBatchState(lanes int) BatchState {
-	return &lstmBatchState{
-		h: make([]float64, lanes*l.Hidden),
-		c: make([]float64, lanes*l.Hidden),
-
-		hidden: l.Hidden,
+	s := &lstmBatchState{
+		cell: l,
+		h:    make([]float64, lanes*l.Hidden),
+		c:    make([]float64, lanes*l.Hidden),
+		wxT:  newKMajor(l.Wx),
+		whT:  newKMajor(l.Wh),
 	}
+	s.laneFn = s.laneStep
+	return s
 }
 
 // GrowBatchState appends one zeroed lane.
@@ -429,11 +467,12 @@ func zeroRange(v []float64) {
 	}
 }
 
-// StepBatch advances the listed lanes through one fused LSTM step:
-// two GEMMs over the gathered states followed by an elementwise gate
-// pass parallelized over lanes. Per-element math mirrors LSTM.Step
-// exactly (zx + (zh + b), same gate expressions), so outputs equal the
-// per-packet path bit-for-bit.
+// StepBatch advances the listed lanes through one fused LSTM step. Each
+// lane runs its input and recurrent projections through the row kernel
+// (accRows over the k-major weights) and then its gates, all in one
+// per-lane body, so a step costs at most one pool dispatch. Per-element
+// math mirrors LSTM.Step exactly (zx + (zh + b), same gate
+// expressions), so outputs equal the per-packet path bit-for-bit.
 func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*lstmBatchState)
 	n := len(lanes)
@@ -441,47 +480,47 @@ func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64,
 		return
 	}
 	H := l.Hidden
-	s.hg = growFloats(s.hg, n*H)
-	s.cg = growFloats(s.cg, n*H)
 	s.zx = growFloats(s.zx, n*4*H)
 	s.zh = growFloats(s.zh, n*4*H)
-	for a, lane := range lanes {
-		copy(s.hg[a*H:(a+1)*H], s.h[lane*H:(lane+1)*H])
-		copy(s.cg[a*H:(a+1)*H], s.c[lane*H:(lane+1)*H])
-	}
-	l.Wx.MulLanes(0, 4*H, xs, n, s.zx, 4*H, pool)
-	l.Wh.MulLanes(0, 4*H, s.hg, n, s.zh, 4*H, pool)
+	s.run(lanes, xs, hs, 4*H*(l.In+H), pool)
+}
+
+// laneStep advances lane lanes[a] of the step in flight. Lanes are
+// distinct, so the body reads and writes its lane's state in place.
+func (s *lstmBatchState) laneStep(a int) {
+	l := s.cell
+	H, In := l.Hidden, l.In
+	lane := s.lanes[a]
+	h := s.h[lane*H : (lane+1)*H]
+	cPrev := s.c[lane*H : (lane+1)*H]
+	zx := s.zx[a*4*H : (a+1)*4*H]
+	zh := s.zh[a*4*H : (a+1)*4*H]
+	zeroRange(zx)
+	zeroRange(zh)
+	accRows(zx, s.wxT, 0, s.xs[a*In:(a+1)*In], s.rows)
+	accRows(zh, s.whT, 0, h, s.rows)
 	bias := l.B.Data
-	wide := gemmKernel().wideGates
-	pool.For(n, func(a int) {
-		zx := s.zx[a*4*H : (a+1)*4*H]
-		zh := s.zh[a*4*H : (a+1)*4*H]
-		cPrev := s.cg[a*H : (a+1)*H]
-		hRow := hs[a*H : (a+1)*H]
-		// Same association as Step: z[i] += zh[i] + B[i]. The pre-adds
-		// are hoisted out of the gate loop so the sigmoid/tanh passes
-		// run over contiguous quarters — 4 lanes per instruction when
-		// the wide gate kernels are live, the same scalar calls per
-		// element either way.
-		for j, v := range zh {
-			zx[j] += v + bias[j]
-		}
-		sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
-		tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
-		sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
-		for j := 0; j < H; j++ {
-			// cNew = f*cPrev + i*g, exactly as Step associates it.
-			cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
-		}
-		tanhLanes(hRow, cPrev, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = zx[3*H+j] * hRow[j]
-		}
-	})
-	for a, lane := range lanes {
-		copy(s.h[lane*H:(lane+1)*H], hs[a*H:(a+1)*H])
-		copy(s.c[lane*H:(lane+1)*H], s.cg[a*H:(a+1)*H])
+	wide := s.wide
+	// Same association as Step: z[i] += zh[i] + B[i]. The pre-adds are
+	// hoisted out of the gate loop so the sigmoid/tanh passes run over
+	// contiguous quarters — 4 lanes per instruction when the wide gate
+	// kernels are live, the same scalar calls per element either way.
+	for j, v := range zh {
+		zx[j] += v + bias[j]
 	}
+	sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
+	tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
+	sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
+	for j := 0; j < H; j++ {
+		// cNew = f*cPrev + i*g, exactly as Step associates it.
+		cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
+	}
+	hRow := s.hs[a*H : (a+1)*H]
+	tanhLanes(hRow, cPrev, wide)
+	for j := 0; j < H; j++ {
+		hRow[j] = zx[3*H+j] * hRow[j]
+	}
+	copy(h, hRow)
 }
 
 // growFloats returns buf with length at least n (contents unspecified).

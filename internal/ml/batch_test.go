@@ -141,9 +141,14 @@ func parityModel(t *testing.T, cellType string, layers int) *Model {
 
 // TestBatchedParity drives B per-packet StatefulModels and one
 // B-lane BatchedStatefulModel through the same interleaved streams and
-// requires exact float equality of every Prediction, for LSTM and GRU
-// trunks at B ∈ {1, 7, 64}. Feeder-style Advance steps (discarded
-// outputs) are interleaved to cover the want-mask path.
+// requires exact float equality of every Prediction, for LSTM, stacked
+// LSTM and GRU trunks at every width 1–17 and at 64. Inputs alternate
+// between dense and one-hot-shaped (mostly exact zeros), and lanes are
+// reset to all-zero hidden state mid-stream, so the row kernel's zero
+// skip runs on both the input and the recurrent projections.
+// Feeder-style Advance steps (discarded outputs) are interleaved to
+// cover the want-mask path. make test-kernels reruns it under every
+// kernel family.
 func TestBatchedParity(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -155,19 +160,28 @@ func TestBatchedParity(t *testing.T) {
 		{"gru", "gru", 1},
 		{"mlp-fallback", "mlp", 1},
 	}
+	widths := []int{64}
+	for B := 1; B <= 17; B++ {
+		widths = append(widths, B)
+	}
 	pool := NewPool(4)
 	defer pool.Close()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			model := parityModel(t, tc.cell, tc.layers)
-			for _, B := range []int{1, 7, 64} {
+			for _, B := range widths {
 				seq := make([]*StatefulModel, B)
 				for i := range seq {
 					seq[i] = NewStatefulModel(model)
 				}
 				bat := NewBatchedStatefulModel(model, B, pool)
 				rng := stats.NewStream(int64(B))
-				for step := 0; step < 50; step++ {
+				for step := 0; step < 40; step++ {
+					if step > 0 && rng.Float64() < 0.2 {
+						lane := rng.Intn(B)
+						bat.ResetLane(lane)
+						seq[lane].Reset()
+					}
 					var lanes []int
 					var xs [][]float64
 					var want []bool
@@ -176,7 +190,11 @@ func TestBatchedParity(t *testing.T) {
 							continue
 						}
 						lanes = append(lanes, lane)
-						xs = append(xs, randVec(model.Cfg.Features, rng))
+						if step%2 == 0 {
+							xs = append(xs, sparseVec(model.Cfg.Features, rng))
+						} else {
+							xs = append(xs, randVec(model.Cfg.Features, rng))
+						}
 						want = append(want, rng.Float64() < 0.8)
 					}
 					preds := make([]Prediction, len(lanes))

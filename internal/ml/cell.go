@@ -39,7 +39,8 @@ type Cell interface {
 type BatchState interface{}
 
 // BatchedCell is implemented by cells that can advance many independent
-// recurrent states through one fused matrix–matrix step. The fused step
+// recurrent states through one fused step (one pool dispatch at most,
+// the row kernel per lane — rows.go). The fused step
 // must be bit-exact with calling StepState once per lane: batched
 // kernels keep the per-element accumulation order of the per-vector
 // path (see Dot/DotAcc), which the parity tests in batch_test.go

@@ -3,13 +3,15 @@
 package ml
 
 // haveGemm8 gates the assembly GEMM microkernels (this file's
-// declarations). They vectorize over LANES, not over k: each lane keeps
-// its own accumulator that sums w[k]*x[k] in ascending-k order with
-// separate multiply and add instructions (MULPD/VMULPD then
-// ADDPD/VADDPD, never FMA), so every output element is bitwise identical
-// to the scalar Dot kernel. gemm8 needs only SSE2 (baseline amd64);
-// gemm16 and axpy4 need AVX2 and must only be called when the probe in
-// cpu_amd64.go reports cpuHasAVX2 (dispatch enforces this).
+// declarations). The lane-tiled GEMM kernels vectorize over LANES and
+// the inference row kernels over output ROWS, never over k: each output
+// element keeps its own accumulator that sums w[k]*x[k] in ascending-k
+// order with separate multiply and add instructions (MULPD/VMULPD then
+// ADDPD/VADDPD, never FMA), so every output element is bitwise
+// identical to the scalar Dot kernel. gemm8 and rowsAcc2 need only SSE2
+// (baseline amd64); gemm16, axpy4 and rowsAcc4 need AVX2 and must only
+// be called when the probe in cpu_amd64.go reports cpuHasAVX2 (dispatch
+// enforces this).
 const haveGemm8 = true
 
 // gemm8 computes, for 8 lanes and `rows` consecutive weight rows,
@@ -41,6 +43,24 @@ func gemm16(w *float64, rows, k int, xt *float64, strideB int, out *float64, out
 //
 //go:noescape
 func axpy4(y, x *float64, n int, a float64)
+
+// rowsAcc4 is the AVX2 inference row kernel: for j in [0, r) it runs
+//
+//	acc[j] += w[kk*ldB/8 + j] * x[kk]   for kk = 0, 1, ..., k-1
+//
+// skipping x[kk] == ±0, with row blocks of up to 32 held in YMM
+// accumulators across the whole k loop. VMULPD then VADDPD per term:
+// each acc[j] is the ascending-k DotAcc chain, bit for bit. Requires
+// AVX2 (dispatch gates on the avx2 family).
+//
+//go:noescape
+func rowsAcc4(acc *float64, r int, w *float64, ldB int, x *float64, k int)
+
+// rowsAcc2 is the SSE2 inference row kernel: rowsAcc4's contract with
+// 2 rows per XMM (MULPD then ADDPD). Baseline amd64 only.
+//
+//go:noescape
+func rowsAcc2(acc *float64, r int, w *float64, ldB int, x *float64, k int)
 
 // sigmoid4 writes σ(src[i]) into dst[i] for 4 lanes, cloning the
 // repo's scalar Sigmoid over math.Exp's AVX+FMA variant instruction for

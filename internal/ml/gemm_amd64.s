@@ -1,4 +1,5 @@
-// SSE2 lane-batched GEMM microkernel. Vectorization is across lanes
+// SSE2 lane-batched GEMM microkernel (and, at the end, the row-batched
+// inference kernel rowsAcc2). Vectorization is across lanes
 // (one accumulator component per lane), so each output element is the
 // same ascending-k multiply-then-add chain as the scalar Dot kernel —
 // bitwise identical results. SSE2 only (baseline amd64): no FMA (would
@@ -77,4 +78,191 @@ kloop:
 	ADDQ	$8, R11 // next output row
 	DECQ	R8
 	JNZ	rowloop
+	RET
+
+
+// func rowsAcc2(acc *float64, r int, w *float64, ldB int, x *float64, k int)
+//
+// The SSE2 inference row kernel, rowsAcc4's contract 2 rows per XMM:
+// row blocks of 16, 8, 2 and 1 keep their accumulators in registers
+// across the whole k loop, MULPD then ADDPD per term, skipping
+// x[kk] == ±0 — each acc[j] is the ascending-k DotAcc chain, bit for
+// bit. MOVUPD loads, since legacy-SSE memory operands must be aligned.
+TEXT ·rowsAcc2(SB), NOSPLIT, $0-48
+	MOVQ	acc+0(FP), DI
+	MOVQ	r+8(FP), CX
+	MOVQ	w+16(FP), SI
+	MOVQ	ldB+24(FP), R8
+	MOVQ	x+32(FP), DX
+	MOVQ	k+40(FP), R9
+
+block16:
+	CMPQ	CX, $16
+	JL	block8
+	MOVUPD	(DI), X0
+	MOVUPD	16(DI), X1
+	MOVUPD	32(DI), X2
+	MOVUPD	48(DI), X3
+	MOVUPD	64(DI), X4
+	MOVUPD	80(DI), X5
+	MOVUPD	96(DI), X6
+	MOVUPD	112(DI), X7
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k16:
+	TESTQ	R11, R11
+	JE	store16
+	MOVQ	(R10), AX
+	SHLQ	$1, AX // drop the sign: zero for both +0 and -0
+	JE	skip16
+	MOVSD	(R10), X12
+	UNPCKLPD X12, X12
+	MOVUPD	(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X0
+	MOVUPD	16(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X1
+	MOVUPD	32(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X2
+	MOVUPD	48(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X3
+	MOVUPD	64(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X4
+	MOVUPD	80(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X5
+	MOVUPD	96(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X6
+	MOVUPD	112(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X7
+skip16:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k16
+store16:
+	MOVUPD	X0, (DI)
+	MOVUPD	X1, 16(DI)
+	MOVUPD	X2, 32(DI)
+	MOVUPD	X3, 48(DI)
+	MOVUPD	X4, 64(DI)
+	MOVUPD	X5, 80(DI)
+	MOVUPD	X6, 96(DI)
+	MOVUPD	X7, 112(DI)
+	ADDQ	$128, DI
+	ADDQ	$128, SI
+	SUBQ	$16, CX
+	JMP	block16
+
+block8:
+	CMPQ	CX, $8
+	JL	block2
+	MOVUPD	(DI), X0
+	MOVUPD	16(DI), X1
+	MOVUPD	32(DI), X2
+	MOVUPD	48(DI), X3
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k8:
+	TESTQ	R11, R11
+	JE	store8
+	MOVQ	(R10), AX
+	SHLQ	$1, AX // drop the sign: zero for both +0 and -0
+	JE	skip8
+	MOVSD	(R10), X12
+	UNPCKLPD X12, X12
+	MOVUPD	(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X0
+	MOVUPD	16(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X1
+	MOVUPD	32(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X2
+	MOVUPD	48(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X3
+skip8:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k8
+store8:
+	MOVUPD	X0, (DI)
+	MOVUPD	X1, 16(DI)
+	MOVUPD	X2, 32(DI)
+	MOVUPD	X3, 48(DI)
+	ADDQ	$64, DI
+	ADDQ	$64, SI
+	SUBQ	$8, CX
+	JMP	block8
+
+block2:
+	CMPQ	CX, $2
+	JL	block1
+	MOVUPD	(DI), X0
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k2:
+	TESTQ	R11, R11
+	JE	store2
+	MOVQ	(R10), AX
+	SHLQ	$1, AX // drop the sign: zero for both +0 and -0
+	JE	skip2
+	MOVSD	(R10), X12
+	UNPCKLPD X12, X12
+	MOVUPD	(R12), X13
+	MULPD	X12, X13
+	ADDPD	X13, X0
+skip2:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k2
+store2:
+	MOVUPD	X0, (DI)
+	ADDQ	$16, DI
+	ADDQ	$16, SI
+	SUBQ	$2, CX
+	JMP	block2
+
+block1:
+	TESTQ	CX, CX
+	JE	rowsdone
+	MOVSD	(DI), X0
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k1:
+	TESTQ	R11, R11
+	JE	store1
+	MOVQ	(R10), AX
+	SHLQ	$1, AX
+	JE	skip1
+	MOVSD	(R12), X13
+	MULSD	(R10), X13
+	ADDSD	X13, X0
+skip1:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k1
+store1:
+	MOVSD	X0, (DI)
+	ADDQ	$8, DI
+	ADDQ	$8, SI
+	DECQ	CX
+	JMP	block1
+
+rowsdone:
 	RET

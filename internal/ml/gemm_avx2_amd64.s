@@ -1,5 +1,6 @@
-// AVX2 lane-batched GEMM microkernel and elementwise axpy. Like the
-// SSE2 gemm8, vectorization is across LANES: each of the 16 lanes keeps
+// AVX2 lane-batched GEMM microkernel, elementwise axpy, and the
+// inference row kernel rowsAcc4 (vectorized across rows). Like the
+// SSE2 gemm8, gemm16 vectorizes across LANES: each of the 16 lanes keeps
 // its own accumulator component that sums w[k]*x[k] in ascending-k
 // order with a separate VMULPD and VADDPD per term — deliberately NOT
 // VFMADD, whose single rounding would diverge from the scalar Dot chain
@@ -279,5 +280,180 @@ tail1:
 	JMP	tail1
 
 done:
+	VZEROUPPER
+	RET
+
+// func rowsAcc4(acc *float64, r int, w *float64, ldB int, x *float64, k int)
+//
+// The register-blocked inference row kernel (rows.go): for j in [0, r)
+//
+//	acc[j] += w[kk*ldB/8 + j] * x[kk]   for kk = 0, 1, ..., k-1
+//
+// skipping x[kk] == ±0. Rows go in blocks of 32, 16, 4 and 1, each
+// block's accumulators held in registers across the whole k loop:
+// VMULPD then VADDPD per term, one ascending-k chain per row, so every
+// element is bitwise equal to the scalar DotAcc chain.
+TEXT ·rowsAcc4(SB), NOSPLIT, $0-48
+	MOVQ	acc+0(FP), DI
+	MOVQ	r+8(FP), CX
+	MOVQ	w+16(FP), SI
+	MOVQ	ldB+24(FP), R8
+	MOVQ	x+32(FP), DX
+	MOVQ	k+40(FP), R9
+
+block32:
+	CMPQ	CX, $32
+	JL	block16
+	VMOVUPD	(DI), Y0
+	VMOVUPD	32(DI), Y1
+	VMOVUPD	64(DI), Y2
+	VMOVUPD	96(DI), Y3
+	VMOVUPD	128(DI), Y4
+	VMOVUPD	160(DI), Y5
+	VMOVUPD	192(DI), Y6
+	VMOVUPD	224(DI), Y7
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k32:
+	TESTQ	R11, R11
+	JE	store32
+	MOVQ	(R10), AX
+	SHLQ	$1, AX // drop the sign: zero for both +0 and -0
+	JE	skip32
+	VBROADCASTSD	(R10), Y12
+	VMULPD	(R12), Y12, Y13
+	VADDPD	Y13, Y0, Y0
+	VMULPD	32(R12), Y12, Y13
+	VADDPD	Y13, Y1, Y1
+	VMULPD	64(R12), Y12, Y13
+	VADDPD	Y13, Y2, Y2
+	VMULPD	96(R12), Y12, Y13
+	VADDPD	Y13, Y3, Y3
+	VMULPD	128(R12), Y12, Y13
+	VADDPD	Y13, Y4, Y4
+	VMULPD	160(R12), Y12, Y13
+	VADDPD	Y13, Y5, Y5
+	VMULPD	192(R12), Y12, Y13
+	VADDPD	Y13, Y6, Y6
+	VMULPD	224(R12), Y12, Y13
+	VADDPD	Y13, Y7, Y7
+skip32:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k32
+store32:
+	VMOVUPD	Y0, (DI)
+	VMOVUPD	Y1, 32(DI)
+	VMOVUPD	Y2, 64(DI)
+	VMOVUPD	Y3, 96(DI)
+	VMOVUPD	Y4, 128(DI)
+	VMOVUPD	Y5, 160(DI)
+	VMOVUPD	Y6, 192(DI)
+	VMOVUPD	Y7, 224(DI)
+	ADDQ	$256, DI
+	ADDQ	$256, SI
+	SUBQ	$32, CX
+	JMP	block32
+
+block16:
+	CMPQ	CX, $16
+	JL	block4
+	VMOVUPD	(DI), Y0
+	VMOVUPD	32(DI), Y1
+	VMOVUPD	64(DI), Y2
+	VMOVUPD	96(DI), Y3
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k16:
+	TESTQ	R11, R11
+	JE	store16
+	MOVQ	(R10), AX
+	SHLQ	$1, AX // drop the sign: zero for both +0 and -0
+	JE	skip16
+	VBROADCASTSD	(R10), Y12
+	VMULPD	(R12), Y12, Y13
+	VADDPD	Y13, Y0, Y0
+	VMULPD	32(R12), Y12, Y13
+	VADDPD	Y13, Y1, Y1
+	VMULPD	64(R12), Y12, Y13
+	VADDPD	Y13, Y2, Y2
+	VMULPD	96(R12), Y12, Y13
+	VADDPD	Y13, Y3, Y3
+skip16:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k16
+store16:
+	VMOVUPD	Y0, (DI)
+	VMOVUPD	Y1, 32(DI)
+	VMOVUPD	Y2, 64(DI)
+	VMOVUPD	Y3, 96(DI)
+	ADDQ	$128, DI
+	ADDQ	$128, SI
+	SUBQ	$16, CX
+	JMP	block16
+
+block4:
+	CMPQ	CX, $4
+	JL	block1
+	VMOVUPD	(DI), Y0
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k4:
+	TESTQ	R11, R11
+	JE	store4
+	MOVQ	(R10), AX
+	SHLQ	$1, AX // drop the sign: zero for both +0 and -0
+	JE	skip4
+	VBROADCASTSD	(R10), Y12
+	VMULPD	(R12), Y12, Y13
+	VADDPD	Y13, Y0, Y0
+skip4:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k4
+store4:
+	VMOVUPD	Y0, (DI)
+	ADDQ	$32, DI
+	ADDQ	$32, SI
+	SUBQ	$4, CX
+	JMP	block4
+
+block1:
+	TESTQ	CX, CX
+	JE	rowsdone
+	VMOVSD	(DI), X0
+	MOVQ	DX, R10
+	MOVQ	SI, R12
+	MOVQ	R9, R11
+k1:
+	TESTQ	R11, R11
+	JE	store1
+	MOVQ	(R10), AX
+	SHLQ	$1, AX
+	JE	skip1
+	VMOVSD	(R10), X12
+	VMOVSD	(R12), X13
+	VMULSD	X12, X13, X13
+	VADDSD	X13, X0, X0
+skip1:
+	ADDQ	$8, R10
+	ADDQ	R8, R12
+	DECQ	R11
+	JMP	k1
+store1:
+	VMOVSD	X0, (DI)
+	ADDQ	$8, DI
+	ADDQ	$8, SI
+	DECQ	CX
+	JMP	block1
+
+rowsdone:
 	VZEROUPPER
 	RET

@@ -14,9 +14,14 @@ import (
 //
 //	scalar — the portable Go loops (also the only family under the
 //	         purego build tag or off amd64)
-//	sse2   — 8-lane k-major tiles through gemm8 (baseline amd64)
+//	sse2   — 8-lane k-major tiles through gemm8 and the rowsAcc2
+//	         inference row kernel (baseline amd64)
 //	avx2   — 16-lane tiles through gemm16, the axpy4 backward kernel,
-//	         and (on FMA hardware) the 4-wide sigmoid/tanh gate kernels
+//	         the rowsAcc4 row kernel, and (on FMA hardware) the 4-wide
+//	         sigmoid/tanh gate kernels
+//
+// The lane tiles serve the minibatch trainer; inference steps run the
+// row kernel (rows.go) at every width.
 //
 // Every family produces bitwise-identical results: each output element
 // is the same ascending-k multiply-then-add chain as the scalar Dot, and
@@ -36,6 +41,9 @@ type gemmImpl struct {
 	// axpy routes the MulLanesT/AddGradLanes inner loops through the
 	// AVX2 elementwise y[i] += a*x[i] kernel.
 	axpy bool
+	// rows is the inference row kernel accRows runs; nil selects the
+	// portable Go loop.
+	rows rowKernel
 	// wideGates routes Sigmoid/Tanh gate passes through the 4-wide
 	// AVX2+FMA clones of math.Exp's FMA variant and math.Tanh.
 	wideGates bool
@@ -58,12 +66,13 @@ var gemmImplByName = buildGemmImpls()
 func buildGemmImpls() map[string]*gemmImpl {
 	m := map[string]*gemmImpl{"scalar": {name: "scalar"}}
 	if haveGemm8 {
-		m["sse2"] = &gemmImpl{name: "sse2", tileLanes: 8}
+		m["sse2"] = &gemmImpl{name: "sse2", tileLanes: 8, rows: rowsAcc2}
 		if cpuHasAVX2 {
 			m["avx2"] = &gemmImpl{
 				name:      "avx2",
 				tileLanes: 16,
 				axpy:      true,
+				rows:      rowsAcc4,
 				// The gate kernels replicate math.Exp's AVX+FMA variant,
 				// so they are only bitwise-correct when the runtime's
 				// math package takes that same path. Verify empirically

@@ -150,6 +150,56 @@ func FuzzGemmKernels(f *testing.F) {
 	})
 }
 
+// FuzzRowKernel drives every available family's inference row kernel
+// (accRows: the Go loop, rowsAcc2, rowsAcc4) over fuzzed row counts,
+// input widths, zero densities, row offsets into the k-major weights
+// and nonzero initial accumulators, and requires every accumulator to
+// equal the scalar DotAcc chain from the same start, bitwise.
+func FuzzRowKernel(f *testing.F) {
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), int64(1))
+	f.Add(uint8(96), uint8(23), uint8(128), uint8(0), int64(2))
+	f.Add(uint8(24), uint8(24), uint8(0), uint8(48), int64(3))
+	f.Add(uint8(39), uint8(13), uint8(200), uint8(13), int64(4))
+	f.Add(uint8(71), uint8(64), uint8(255), uint8(5), int64(5))
+	f.Fuzz(func(t *testing.T, rows8, k8, zero8, off8 uint8, seed int64) {
+		R := 1 + int(rows8)%128
+		K := 1 + int(k8)%64
+		r0 := int(off8) % 64
+		zeroFrac := float64(zero8) / 255
+		s := stats.NewStream(seed)
+		m := randMatrix(r0+R+s.Intn(8), K, s)
+		w := newKMajor(m)
+		x := make([]float64, K)
+		for i := range x {
+			if s.Float64() >= zeroFrac {
+				x[i] = 2*s.Float64() - 1
+			} else if s.Float64() < 0.5 {
+				x[i] = math.Copysign(0, -1)
+			}
+		}
+		start := make([]float64, R)
+		for i := range start {
+			if s.Float64() < 0.8 { // the rest start at +0, as Dot does
+				start[i] = 2*s.Float64() - 1
+			}
+		}
+		want := make([]float64, R)
+		for i := range want {
+			r := r0 + i
+			want[i] = DotAcc(start[i], m.Data[r*K:(r+1)*K], x)
+		}
+		for _, kn := range GemmKernels() {
+			acc := append([]float64(nil), start...)
+			accRows(acc, w, r0, x, gemmImplByName[kn].rows)
+			for i := range acc {
+				if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("kernel %s: R=%d K=%d r0=%d row %d: %v != %v", kn, R, K, r0, i, acc[i], want[i])
+				}
+			}
+		}
+	})
+}
+
 // FuzzGemmBackwardKernels covers the backward-shaped kernels — MulLanesT
 // and AddGradLanes, which the avx2 family routes through axpy4 — against
 // the scalar loops, bitwise, including zero gradients (the d == 0 skip).

@@ -28,6 +28,14 @@ func axpy4(y, x *float64, n int, a float64) {
 	panic("ml: axpy4 called without assembly support")
 }
 
+func rowsAcc4(acc *float64, r int, w *float64, ldB int, x *float64, k int) {
+	panic("ml: rowsAcc4 called without assembly support")
+}
+
+func rowsAcc2(acc *float64, r int, w *float64, ldB int, x *float64, k int) {
+	panic("ml: rowsAcc2 called without assembly support")
+}
+
 func sigmoid4(dst, src *float64) (ok uint8) {
 	panic("ml: sigmoid4 called without assembly support")
 }

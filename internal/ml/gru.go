@@ -172,16 +172,28 @@ func (g *GRU) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev
 }
 
 // gruBatchState is the recurrent state of `lanes` independent GRU
-// streams (lanes × H dense), plus fused-step scratch.
+// streams (lanes × H dense), the bank's k-major weight copies, and
+// per-lane step scratch.
 type gruBatchState struct {
-	h []float64
-	// scratch for one fused step
-	hg, ax, ah, rh, z []float64
+	batchStep
+	cell *GRU
+	h    []float64
+	// k-major copies of Wx and Wh (rows.go), taken once per bank.
+	wxT, whT kMajor
+	// scratch for the step in flight, per lane: ax 3H, ah 2H, rh and z H
+	ax, ah, rh, z []float64
 }
 
 // NewBatchState returns zeroed state for `lanes` GRU lanes.
 func (g *GRU) NewBatchState(lanes int) BatchState {
-	return &gruBatchState{h: make([]float64, lanes*g.Hidden)}
+	s := &gruBatchState{
+		cell: g,
+		h:    make([]float64, lanes*g.Hidden),
+		wxT:  newKMajor(g.Wx),
+		whT:  newKMajor(g.Wh),
+	}
+	s.laneFn = s.laneStep
+	return s
 }
 
 // GrowBatchState appends one zeroed lane.
@@ -198,12 +210,12 @@ func (g *GRU) ResetBatchLane(st BatchState, lane int) {
 	zeroRange(s.h[lane*g.Hidden : (lane+1)*g.Hidden])
 }
 
-// StepBatch advances the listed lanes through one fused GRU step: two
-// GEMMs (input and z/r recurrent pre-activations) plus a per-lane pass
-// for the candidate path, which must follow the reset gate. All
-// per-element accumulation orders mirror StepState (Dot/DotAcc on the
-// same operand order), so outputs are bit-identical to the per-packet
-// path.
+// StepBatch advances the listed lanes through one fused GRU step: per
+// lane, the input and z/r recurrent projections through the row kernel,
+// the gates, then the candidate path, which must follow the reset gate
+// — one per-lane body, at most one pool dispatch per step. All
+// per-element accumulation orders mirror StepState (the same Dot/DotAcc
+// chains), so outputs are bit-identical to the per-packet path.
 func (g *GRU) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*gruBatchState)
 	n := len(lanes)
@@ -211,48 +223,51 @@ func (g *GRU) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, 
 		return
 	}
 	H := g.Hidden
-	s.hg = growFloats(s.hg, n*H)
 	s.ax = growFloats(s.ax, n*3*H)
 	s.ah = growFloats(s.ah, n*2*H)
 	s.rh = growFloats(s.rh, n*H)
 	s.z = growFloats(s.z, n*H)
-	for a, lane := range lanes {
-		copy(s.hg[a*H:(a+1)*H], s.h[lane*H:(lane+1)*H])
-	}
-	g.Wx.MulLanes(0, 3*H, xs, n, s.ax, 3*H, pool)
-	g.Wh.MulLanes(0, 2*H, s.hg, n, s.ah, 2*H, pool)
+	s.run(lanes, xs, hs, 3*H*(g.In+H), pool)
+}
+
+// laneStep advances lane lanes[a] of the step in flight in place.
+func (s *gruBatchState) laneStep(a int) {
+	g := s.cell
+	H, In := g.Hidden, g.In
+	lane := s.lanes[a]
+	hPrev := s.h[lane*H : (lane+1)*H]
+	ax := s.ax[a*3*H : (a+1)*3*H]
+	ah := s.ah[a*2*H : (a+1)*2*H]
+	rh := s.rh[a*H : (a+1)*H]
+	z := s.z[a*H : (a+1)*H]
+	zeroRange(ax)
+	zeroRange(ah)
+	accRows(ax, s.wxT, 0, s.xs[a*In:(a+1)*In], s.rows)
+	accRows(ah, s.whT, 0, hPrev, s.rows) // z and r rows only
 	bias := g.B.Data
-	wide := gemmKernel().wideGates
-	pool.For(n, func(a int) {
-		ax := s.ax[a*3*H : (a+1)*3*H]
-		ah := s.ah[a*2*H : (a+1)*2*H]
-		hPrev := s.hg[a*H : (a+1)*H]
-		rh := s.rh[a*H : (a+1)*H]
-		z := s.z[a*H : (a+1)*H]
-		// Pre-activations hoisted so the sigmoid passes run over
-		// contiguous ranges (4 lanes per instruction when the wide gate
-		// kernels are live); same ax + ah + bias association as StepState.
-		for j := 0; j < 2*H; j++ {
-			ax[j] = ax[j] + ah[j] + bias[j]
-		}
-		sigmoidLanes(z, ax[:H], wide)
-		sigmoidLanes(rh, ax[H:2*H], wide)
-		for j := 0; j < H; j++ {
-			rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
-		}
-		hRow := hs[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-			hRow[j] = DotAcc(ax[2*H+j]+bias[2*H+j], row, rh)
-		}
-		tanhLanes(hRow, hRow, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]
-		}
-	})
-	for a, lane := range lanes {
-		copy(s.h[lane*H:(lane+1)*H], hs[a*H:(a+1)*H])
+	wide := s.wide
+	// Pre-activations hoisted so the sigmoid passes run over contiguous
+	// ranges (4 lanes per instruction when the wide gate kernels are
+	// live); same ax + ah + bias association as StepState.
+	for j := 0; j < 2*H; j++ {
+		ax[j] = ax[j] + ah[j] + bias[j]
 	}
+	sigmoidLanes(z, ax[:H], wide)
+	sigmoidLanes(rh, ax[H:2*H], wide)
+	for j := 0; j < H; j++ {
+		rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
+	}
+	// Candidate rows: each chain starts at ax+b, as DotAcc does.
+	hRow := s.hs[a*H : (a+1)*H]
+	for j := range hRow {
+		hRow[j] = ax[2*H+j] + bias[2*H+j]
+	}
+	accRows(hRow, s.whT, 2*H, rh, s.rows)
+	tanhLanes(hRow, hRow, wide)
+	for j := 0; j < H; j++ {
+		hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]
+	}
+	copy(hPrev, hRow)
 }
 
 var _ Cell = (*GRU)(nil)

@@ -633,3 +633,88 @@ func TestUnknownCellTypeRejected(t *testing.T) {
 		t.Error("bogus serialized cell accepted")
 	}
 }
+
+// TestModelUnmarshalRejectsMalformed decodes blobs that parse as JSON
+// but do not describe a usable model — missing or misshapen heads,
+// trunk layers that disagree with the config, missing weights — and
+// requires an error from Model.UnmarshalJSON, never a panic.
+func TestModelUnmarshalRejectsMalformed(t *testing.T) {
+	matrix := func(rows, cols int) map[string]any {
+		return map[string]any{"rows": rows, "cols": cols, "data": make([]float64, rows*cols)}
+	}
+	base := func(cell string, layers int) map[string]any {
+		cfg := DefaultModelConfig(5, 3)
+		cfg.Hidden, cfg.Layers, cfg.CellType = 4, layers, cell
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	trunk := func(doc map[string]any, i int) map[string]any {
+		return doc["trunk"].([]any)[i].(map[string]any)
+	}
+	cases := []struct {
+		name   string
+		cell   string
+		layers int
+		mutate func(doc map[string]any)
+	}{
+		{"heads missing", "lstm", 1, func(d map[string]any) {
+			delete(d, "lat_head")
+			delete(d, "drop_head")
+			delete(d, "ecn_head")
+		}},
+		{"head null", "lstm", 1, func(d map[string]any) { d["ecn_head"] = nil }},
+		{"head weights missing", "gru", 1, func(d map[string]any) { delete(d["drop_head"].(map[string]any), "W") }},
+		{"head too wide", "lstm", 1, func(d map[string]any) { d["lat_head"].(map[string]any)["W"] = matrix(1, 5) }},
+		{"head bias shape", "lstm", 1, func(d map[string]any) { d["lat_head"].(map[string]any)["B"] = matrix(2, 1) }},
+		{"trunk too short", "lstm", 2, func(d map[string]any) { d["trunk"] = d["trunk"].([]any)[:1] }},
+		{"trunk empty", "gru", 1, func(d map[string]any) { d["trunk"] = []any{} }},
+		{"trunk layer null", "lstm", 1, func(d map[string]any) { d["trunk"] = []any{nil} }},
+		{"layer class mismatch", "lstm", 1, func(d map[string]any) { trunk(d, 0)["type"] = "gru" }},
+		{"layer input width", "lstm", 1, func(d map[string]any) { trunk(d, 0)["In"] = 6 }},
+		{"stacked layer input width", "gru", 2, func(d map[string]any) { trunk(d, 1)["In"] = 5 }},
+		{"Wx shape", "lstm", 1, func(d map[string]any) { trunk(d, 0)["Wx"] = matrix(16, 6) }},
+		{"Wh missing", "gru", 1, func(d map[string]any) { delete(trunk(d, 0), "Wh") }},
+		{"B shape", "lstm", 2, func(d map[string]any) { trunk(d, 1)["B"] = matrix(12, 1) }},
+		{"negative dims", "lstm", 1, func(d map[string]any) {
+			trunk(d, 0)["B"] = map[string]any{"rows": -1, "cols": -1, "data": []float64{0}}
+		}},
+		{"mlp window", "mlp", 1, func(d map[string]any) { trunk(d, 0)["window"] = 0 }},
+		{"config hidden zero", "lstm", 1, func(d map[string]any) { d["cfg"].(map[string]any)["hidden"] = 0 }},
+		{"config layers disagree", "lstm", 1, func(d map[string]any) { d["cfg"].(map[string]any)["layers"] = 2 }},
+	}
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
+		blob, err := json.Marshal(base(cell, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Model
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatalf("valid %s model rejected: %v", cell, err)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := base(tc.cell, tc.layers)
+			tc.mutate(doc)
+			blob, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m Model
+			if err := json.Unmarshal(blob, &m); err == nil {
+				t.Fatalf("malformed blob accepted: %s", blob)
+			}
+		})
+	}
+}

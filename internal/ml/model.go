@@ -405,6 +405,9 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &mj); err != nil {
 		return err
 	}
+	if err := mj.validate(); err != nil {
+		return err
+	}
 	m.Cfg = mj.Cfg
 	m.Trunk = nil
 	for _, cj := range mj.Trunk {
@@ -417,6 +420,96 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 	m.LatHead = &Linear{W: mj.LatHead.W, B: mj.LatHead.B}
 	m.DropHead = &Linear{W: mj.DropHead.W, B: mj.DropHead.B}
 	m.ECNHead = &Linear{W: mj.ECNHead.W, B: mj.ECNHead.B}
+	return nil
+}
+
+// validate checks a decoded model against its own config before any of
+// it is used: every head present and 1×Hidden, Layers trunk cells of the
+// configured class, each with the weight shapes its In/Hidden imply and
+// In/Hidden matching Features/Hidden. A blob that decodes but fails
+// these (truncated, hand-edited, or from another schema) is an error,
+// never a panic later in inference.
+func (mj *modelJSON) validate() error {
+	c := mj.Cfg
+	switch {
+	case c.Features < 1 || c.Hidden < 1 || c.Layers < 1:
+		return fmt.Errorf("ml: model config needs features, hidden and layers >= 1 (got %d, %d, %d)",
+			c.Features, c.Hidden, c.Layers)
+	case len(mj.Trunk) != c.Layers:
+		return fmt.Errorf("ml: model has %d trunk layers, config says %d", len(mj.Trunk), c.Layers)
+	}
+	want := c.CellType
+	if want == "" {
+		want = "lstm"
+	}
+	H := c.Hidden
+	for i, cj := range mj.Trunk {
+		in := H
+		if i == 0 {
+			in = c.Features
+		}
+		if cj == nil {
+			return fmt.Errorf("ml: trunk layer %d missing", i)
+		}
+		if cj.Type != want {
+			return fmt.Errorf("ml: trunk layer %d is %q, config says %q", i, cj.Type, want)
+		}
+		if cj.In != in || cj.Hidden != H {
+			return fmt.Errorf("ml: trunk layer %d is %d→%d, want %d→%d", i, cj.In, cj.Hidden, in, H)
+		}
+		var err error
+		switch cj.Type {
+		case "lstm", "gru":
+			gates := 4
+			if cj.Type == "gru" {
+				gates = 3
+			}
+			err = checkShape("Wx", cj.Wx, gates*H, in)
+			if err == nil {
+				err = checkShape("Wh", cj.Wh, gates*H, H)
+			}
+			if err == nil {
+				err = checkShape("B", cj.B, gates*H, 1)
+			}
+		case "mlp":
+			if cj.Window < 1 {
+				return fmt.Errorf("ml: trunk layer %d: mlp window %d < 1", i, cj.Window)
+			}
+			err = checkShape("W", cj.W, H, in*cj.Window)
+			if err == nil {
+				err = checkShape("B", cj.B, H, 1)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("ml: trunk layer %d: %w", i, err)
+		}
+	}
+	for _, h := range []struct {
+		name string
+		lin  *linJSON
+	}{{"lat_head", mj.LatHead}, {"drop_head", mj.DropHead}, {"ecn_head", mj.ECNHead}} {
+		if h.lin == nil {
+			return fmt.Errorf("ml: model %s missing", h.name)
+		}
+		err := checkShape("W", h.lin.W, 1, H)
+		if err == nil {
+			err = checkShape("B", h.lin.B, 1, 1)
+		}
+		if err != nil {
+			return fmt.Errorf("ml: model %s: %w", h.name, err)
+		}
+	}
+	return nil
+}
+
+// checkShape reports a missing matrix or one not rows × cols.
+func checkShape(name string, m *Matrix, rows, cols int) error {
+	if m == nil {
+		return fmt.Errorf("%s missing", name)
+	}
+	if m.Rows != rows || m.Cols != cols {
+		return fmt.Errorf("%s is %dx%d, want %dx%d", name, m.Rows, m.Cols, rows, cols)
+	}
 	return nil
 }
 

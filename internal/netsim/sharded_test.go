@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sync"
 	"testing"
 
 	"mimicnet/internal/sim"
@@ -44,12 +45,18 @@ func TestShardedFabricMatchesSequential(t *testing.T) {
 		} else {
 			f = NewFabric(sim.New(), tp, link)
 		}
+		// Hosts of different LPs deliver from different worker
+		// goroutines, so the shared map needs a lock. Each host's slice
+		// is appended by one LP only, so its order stays deterministic.
 		got := make(map[int][]delivery)
+		var mu sync.Mutex
 		for h := 0; h < tp.Hosts(); h++ {
 			h := h
 			s := simFor(h)
 			f.RegisterHost(h, func(pkt *Packet) {
+				mu.Lock()
 				got[h] = append(got[h], delivery{pkt.ID, s.Now()})
+				mu.Unlock()
 			})
 		}
 		// Bidirectional cross-cluster fan-out, several packets per pair so
