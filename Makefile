@@ -70,10 +70,10 @@ bench-json:
 	BENCH_COMPOSE_JSON=BENCH_compose.json $(GO) test -run xxx -bench BenchmarkComposedRun -benchtime 3x .
 	BENCH_GEMM_JSON=$(CURDIR)/BENCH_gemm.json $(GO) test -run xxx -bench BenchmarkGemmKernels -benchtime 2s ./internal/ml
 
-# Sequential vs minibatch training on one identical dataset; writes
-# machine-readable samples/sec, ns/sample, allocs/sample to
-# BENCH_train.json (the batched trainer must be >= 2x samples/sec at
-# B=16).
+# Minibatch training at B=1, 8 and 16 (plus a GRU row at B=16) on one
+# identical dataset; writes machine-readable samples/sec, ns/sample,
+# allocs/sample to BENCH_train.json (B=16 must be >= 2x the samples/sec
+# of B=1).
 bench-train:
 	BENCH_TRAIN_JSON=BENCH_train.json $(GO) test -run xxx -bench BenchmarkTrain -benchtime 3x .
 

@@ -373,13 +373,12 @@ type trainModeStats struct {
 }
 
 // BenchmarkTrain measures the minibatch trainer (the training-side mirror
-// of BenchmarkMimicInference) against the retained sequential reference
-// on one identical synthetic dataset shaped like real extracted features.
-// One iteration = one full training epoch over the dataset. The batched
-// trainer at B=16 should be at least 2x the sequential samples/sec even
-// on one core: each optimizer step amortizes the clip+Adam full-parameter
-// sweep over B samples, and the GEMM formulation removes the per-step
-// slice allocations of the scalar path.
+// of BenchmarkMimicInference) at several batch sizes on one identical
+// synthetic dataset shaped like real extracted features. One iteration =
+// one full training epoch over the dataset. B=16 should be at least 2x
+// the samples/sec of B=1 even on one core: each optimizer step amortizes
+// the clip+Adam full-parameter sweep over B samples. The gru/B=16 row
+// covers the GRU trainer's per-lane candidate pass.
 //
 // When $BENCH_TRAIN_JSON names a file (see `make bench-train`), the same
 // numbers are written there as JSON for machine comparison.
@@ -413,16 +412,19 @@ func BenchmarkTrain(b *testing.B) {
 	for _, m := range []struct {
 		name  string
 		batch int
+		cell  string
 	}{
-		{"sequential", 1},
-		{"batched/B=8", 8},
-		{"batched/B=16", 16},
+		{"batched/B=1", 1, ""},
+		{"batched/B=8", 8, ""},
+		{"batched/B=16", 16, ""},
+		{"gru/B=16", 16, "gru"},
 	} {
 		m := m
 		b.Run(m.name, func(b *testing.B) {
 			cfg := ml.DefaultModelConfig(features, window)
 			cfg.Epochs = 1
 			cfg.BatchSize = m.batch
+			cfg.CellType = m.cell
 			model, err := ml.NewModel(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -59,7 +59,7 @@ func main() {
 		hidden    = flag.Int("hidden", 24, "LSTM hidden size")
 		layers    = flag.Int("layers", 1, "stacked LSTM layers")
 		epochs    = flag.Int("epochs", 4, "training epochs")
-		batch     = flag.Int("batch", 0, "training minibatch size (0 = engine default, 1 = sequential)")
+		batch     = flag.Int("batch", 0, "training minibatch size (0 = engine default)")
 		cellType  = flag.String("cell", "lstm", "trunk model class: lstm|gru|mlp")
 		tune      = flag.Int("tune", 0, "hyper-parameter tuning budget (0 = off)")
 		tuneSizes = flag.String("tune-metric", "fct", "tuning metric: fct|throughput|rtt")
@@ -224,7 +224,7 @@ func main() {
 
 	if *validate {
 		fmt.Println("phase 4: hybrid per-direction validation (Appendix B) ...")
-		ingW1, egW1, err := core.DirectionError(base, models, sim.Time(*smallRun))
+		ingW1, egW1, err := core.RoleError(base, models, sim.Time(*smallRun))
 		fatal(err)
 		fmt.Printf("  W1(FCT) vs all-real 2-cluster reference: ingress=%.4g egress=%.4g\n", ingW1, egW1)
 	}
@@ -247,7 +247,7 @@ func main() {
 	fmt.Printf("events processed        %d (%d LSTM steps, %d feeder events)\n",
 		res.Events, comp.InferenceSteps(), comp.FeederEvents())
 	fmt.Printf("flows                   %d started, %d completed\n", comp.FlowsStarted(), comp.FlowsCompleted())
-	fmt.Printf("mimic drops             %d ingress, %d egress\n", comp.MimicDropsIngress(), comp.MimicDropsEgress())
+	fmt.Printf("mimic drops             %d ingress, %d egress\n", comp.MimicDrops(core.Ingress), comp.MimicDrops(core.Egress))
 	printDist("fct_seconds", res.FCTs)
 	printDist("throughput_Bps", res.Throughputs)
 	printDist("rtt_seconds", res.RTTs)

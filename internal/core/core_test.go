@@ -409,6 +409,21 @@ func TestMimicModelSerialization(t *testing.T) {
 	if _, err := LoadModels([]byte(`{}`)); err == nil {
 		t.Error("incomplete blob accepted")
 	}
+	// A direction whose model is null would dereference nil in NewMimic.
+	for _, dir := range []string{"ingress", "egress"} {
+		var doc map[string]any
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc[dir].(map[string]any)["model"] = nil
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModels(bad); err == nil {
+			t.Errorf("blob with null %s model accepted", dir)
+		}
+	}
 	if _, err := LoadModels([]byte(`garbage`)); err == nil {
 		t.Error("garbage blob accepted")
 	}

@@ -104,22 +104,6 @@ func HybridRoles(dir Direction) []ClusterRole {
 	return []ClusterRole{{Kind: RoleObserved}, {Kind: kind}}
 }
 
-// Runner is the single interface every composition consumer programs
-// against — pipeline estimates, experiments, tuning validation, the
-// estimation service, and the CLI all drive an Engine through it.
-type Runner interface {
-	Run(until sim.Time)
-	RunContext(ctx context.Context, until sim.Time) (cancelled bool)
-	Results() cluster.Results
-	Scheduler() *InferenceScheduler
-	FlowsStarted() int
-	FlowsCompleted() int
-	InferenceSteps() uint64
-	MimicDrops(dir Direction) uint64
-}
-
-var _ Runner = (*Engine)(nil)
-
 // Engine is an N-cluster MimicNet fabric built from a role vector: each
 // cluster is observed (full netsim fidelity), a Mimic (model-driven), or
 // a hybrid (full fidelity with one direction served by a model). Core
@@ -703,14 +687,6 @@ func (e *Engine) MimicDrops(dir Direction) uint64 {
 	return total
 }
 
-// MimicDropsIngress returns packets the ingress models predicted
-// dropped. Legacy accessor; equivalent to MimicDrops(Ingress).
-func (e *Engine) MimicDropsIngress() uint64 { return e.MimicDrops(Ingress) }
-
-// MimicDropsEgress returns packets the egress models predicted dropped.
-// Legacy accessor; equivalent to MimicDrops(Egress).
-func (e *Engine) MimicDropsEgress() uint64 { return e.MimicDrops(Egress) }
-
 // ModelPackets returns the number of packets served by a model (the
 // hybrid harness's "packets through the model under test"; for Mimic
 // roles it counts both directions' boundary packets).
@@ -721,10 +697,6 @@ func (e *Engine) ModelPackets() uint64 {
 	}
 	return total
 }
-
-// ModelDrops returns packets any model predicted dropped, both
-// directions. Legacy hybrid accessor.
-func (e *Engine) ModelDrops() uint64 { return e.MimicDrops(Ingress) + e.MimicDrops(Egress) }
 
 // FeederEvents returns the number of synthetic feeder advances.
 func (e *Engine) FeederEvents() uint64 {

@@ -26,18 +26,11 @@ import (
 // HybridRoles: cluster 0 observed, cluster 1 RoleHybridIngress or
 // RoleHybridEgress.
 
-// HybridDirection selects which direction the model under test handles.
-type HybridDirection = Direction
-
-// Hybrid is a 2-cluster simulation in which one direction of the modeled
-// cluster's external traffic is served by the trained internal model. It
-// is the Engine built from HybridRoles; this alias keeps the historical
-// name.
-type Hybrid = Engine
-
-// NewHybrid builds the test framework for one direction. cfg must be the
+// NewHybrid builds the test framework for one direction: a 2-cluster
+// simulation in which one direction of the modeled cluster's external
+// traffic is served by the trained internal model. cfg must be the
 // 2-cluster base configuration the models were trained from.
-func NewHybrid(cfg cluster.Config, models *MimicModels, dir Direction) (*Hybrid, error) {
+func NewHybrid(cfg cluster.Config, models *MimicModels, dir Direction) (*Engine, error) {
 	cfg.Topo = cfg.Topo.WithClusters(2)
 	return NewEngine(cfg, HybridRoles(dir), models)
 }
@@ -86,10 +79,4 @@ func RoleError(cfg cluster.Config, models *MimicModels, until sim.Time) (ingW1, 
 	}
 	wg.Wait()
 	return metrics.W1(fcts[Ingress], truth), metrics.W1(fcts[Egress], truth), nil
-}
-
-// DirectionError is the historical name for RoleError. The runs are now
-// concurrent rather than back to back; the values are unchanged.
-func DirectionError(cfg cluster.Config, models *MimicModels, until sim.Time) (ingW1, egW1 float64, err error) {
-	return RoleError(cfg, models, until)
 }

@@ -68,9 +68,9 @@ func TestHybridValidation(t *testing.T) {
 	}
 }
 
-func TestDirectionError(t *testing.T) {
+func TestRoleError(t *testing.T) {
 	art := trainedForHybrid(t)
-	ingW1, egW1, err := DirectionError(fastBase(), art.Models, 300*sim.Millisecond)
+	ingW1, egW1, err := RoleError(fastBase(), art.Models, 300*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

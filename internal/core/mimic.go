@@ -52,7 +52,9 @@ func LoadModels(b []byte) (*MimicModels, error) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		return nil, err
 	}
-	if m.Ingress == nil || m.Egress == nil {
+	// A direction or its model may decode as null; either would panic
+	// later in NewMimic or the inference scheduler.
+	if m.Ingress == nil || m.Egress == nil || m.Ingress.Model == nil || m.Egress.Model == nil {
 		return nil, fmt.Errorf("core: serialized models incomplete")
 	}
 	return &m, nil

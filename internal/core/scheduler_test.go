@@ -30,7 +30,7 @@ func trainedForScheduler(t *testing.T) *Artifacts {
 	return schedArt
 }
 
-func runComposed(t *testing.T, art *Artifacts, clusters int, sequential bool, until sim.Time) (cluster.Results, *Composed) {
+func runComposed(t *testing.T, art *Artifacts, clusters int, sequential bool, until sim.Time) (cluster.Results, *Engine) {
 	t.Helper()
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)

@@ -10,7 +10,7 @@ import (
 
 // runComposedMode runs a composition with explicit sharding knobs.
 // shardedRun follows cluster.Config.ShardedRun (-1 sequential, 1 forced).
-func runComposedMode(t *testing.T, art *Artifacts, clusters, shardedRun, workers int, until sim.Time) (cluster.Results, *Composed) {
+func runComposedMode(t *testing.T, art *Artifacts, clusters, shardedRun, workers int, until sim.Time) (cluster.Results, *Engine) {
 	t.Helper()
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)
@@ -129,7 +129,7 @@ func TestShardedComposedSequentialInference(t *testing.T) {
 func TestShardedHybridMatchesSequential(t *testing.T) {
 	art := trainedForScheduler(t)
 	const until = 250 * sim.Millisecond
-	run := func(dir Direction, shardedRun, nw int) (cluster.Results, *Hybrid) {
+	run := func(dir Direction, shardedRun, nw int) (cluster.Results, *Engine) {
 		cfg := fastBase()
 		cfg.ShardedRun = shardedRun
 		cfg.NumWorkers = nw

@@ -39,8 +39,7 @@ var (
 		Egress: obs.Default().Gauge(`mimicnet_core_dataset_samples{dir="egress"}`, ""),
 	}
 
-	// obsMimicDrops is the unified model-predicted drop family, replacing
-	// the split Composed.MimicDrops* / Hybrid.ModelDrops naming: indexed by
+	// obsMimicDrops is the model-predicted drop family, indexed by
 	// [Direction][roleClass]. The engine publishes deltas after each Run,
 	// keeping atomics off the inference callbacks.
 	obsMimicDrops = [2][2]*obs.Counter{

@@ -172,10 +172,10 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 // model step.
 var tileScratch = sync.Pool{New: func() any { return new([]float64) }}
 
-// MulLanesT is the batched counterpart of MulVecT (the backprop of
-// y = Mx into x): for every lane a in [0, n) it overwrites
+// MulLanesT is the backprop of y = Mx into x over a batch: for every
+// lane a in [0, n) it accumulates
 //
-//	out[a*Cols + c] = Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
+//	out[a*Cols + c] += Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
 //
 // dys rows are dyStride wide and indexed by absolute row number (the
 // same layout MulLanes writes), so a trainer can feed gate gradients
@@ -207,9 +207,6 @@ func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []flo
 	kernel := func(alo, ahi int) {
 		for a := alo; a < ahi; a++ {
 			o := out[a*K : (a+1)*K]
-			for c := range o {
-				o[c] = 0
-			}
 			for r := r0; r < r1; r++ {
 				d := dys[a*dyStride+r]
 				if d == 0 {
@@ -655,7 +652,7 @@ func (b *BatchedStatefulModel) StepLanes(lanes []int, xs [][]float64, want []boo
 			bl.bc.StepBatch(bl.bs, lanes, cur[:n*width], next[:n*h], b.pool)
 		} else {
 			for a, lane := range lanes {
-				hv, _ := bl.cell.StepState(bl.states[lane], cur[a*width:(a+1)*width], false)
+				hv := bl.cell.StepState(bl.states[lane], cur[a*width:(a+1)*width])
 				copy(next[a*h:(a+1)*h], hv)
 			}
 		}
@@ -693,9 +690,9 @@ func (b *BatchedStatefulModel) AdvanceLane(lane int, x []float64) {
 	b.StepLanes(lanes[:], xs[:], skip[:], nil)
 }
 
-// headsRow computes the three heads without allocating. Each head value
-// is Dot(W.row, h) + b — the same accumulation MulVec-based heads()
-// produces — so batched and per-packet predictions are identical.
+// headsRow computes the three heads without allocating: each head value
+// is Sigmoid(Dot(W.row, h) + b). It is the only head evaluator, shared by
+// training, Forward, and per-packet and batched inference.
 func (m *Model) headsRow(h []float64) Prediction {
 	return Prediction{
 		Latency: Sigmoid(Dot(m.LatHead.W.Data, h) + m.LatHead.B.Data[0]),

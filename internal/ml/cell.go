@@ -9,11 +9,9 @@ package ml
 // CellState is a cell's opaque recurrent state.
 type CellState interface{}
 
-// CellCache is a cell's opaque per-step activation record for BPTT.
-type CellCache interface{}
-
 // Cell is one trainable trunk layer processed step-by-step over a packet
-// stream.
+// stream. Training runs through the cell's fused minibatch trainer
+// (newTrainLayer in train_batch.go).
 type Cell interface {
 	// InSize and HiddenSize give the layer's dimensions.
 	InSize() int
@@ -23,13 +21,8 @@ type Cell interface {
 	// FreshState returns a zeroed recurrent state.
 	FreshState() CellState
 	// StepState advances the state by one input and returns the hidden
-	// output; when train is true it also returns a cache for backward.
-	StepState(st CellState, x []float64, train bool) ([]float64, CellCache)
-	// StepBackward consumes one step's cache with the gradients flowing
-	// into its hidden output (dh) and carried state (dcarry; nil when the
-	// cell has no carry), accumulating parameter gradients and returning
-	// gradients for the previous step and input.
-	StepBackward(cache CellCache, dh, dcarry []float64) (dhPrev, dcarryPrev, dx []float64)
+	// output.
+	StepState(st CellState, x []float64) []float64
 	// CellType names the cell class for serialization.
 	CellType() string
 }
@@ -75,26 +68,8 @@ func (l *LSTM) FreshState() CellState { return l.NewState() }
 func (l *LSTM) CellType() string { return "lstm" }
 
 // StepState adapts Step to the Cell interface.
-func (l *LSTM) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
-	state := st.(*LSTMState)
-	var cache *lstmCache
-	if train {
-		cache = &lstmCache{}
-	}
-	h := l.Step(state, x, cache)
-	if cache == nil {
-		return h, nil
-	}
-	return h, cache
-}
-
-// StepBackward adapts stepBackward to the Cell interface. The LSTM's
-// carry is its cell state.
-func (l *LSTM) StepBackward(cache CellCache, dh, dcarry []float64) (dhPrev, dcarryPrev, dx []float64) {
-	if dcarry == nil {
-		dcarry = Zeros(l.Hidden)
-	}
-	return l.stepBackward(cache.(*lstmCache), dh, dcarry)
+func (l *LSTM) StepState(st CellState, x []float64) []float64 {
+	return l.Step(st.(*LSTMState), x)
 }
 
 var (

@@ -22,7 +22,8 @@ func (m *Model) FineTune(samples []Sample, epochs int, lr float64) TrainResult {
 }
 
 // FineTuneContext is FineTune with cancellation and progress reporting,
-// sharing the batch-size-selected trainer with TrainContext.
+// sharing the trainer with TrainContext (ragged or empty windows are an
+// error here too).
 func (m *Model) FineTuneContext(ctx context.Context, samples []Sample, epochs int, lr float64, opts TrainOpts) (TrainResult, error) {
 	return m.FineTuneSourceContext(ctx, samplesOf(samples), epochs, lr, opts)
 }

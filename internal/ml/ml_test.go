@@ -73,43 +73,64 @@ func TestSigmoidProperties(t *testing.T) {
 	}
 }
 
-// Numerical gradient check: the heart of trusting the BPTT code. We
-// perturb every parameter of a small model and compare the analytic
-// gradient against central differences.
-func TestGradientCheck(t *testing.T) {
-	cfg := ModelConfig{
-		Features: 3, Hidden: 4, Layers: 2, Window: 3,
-		HuberDelta: 1, LatLoss: LossHuber, DropWeight: 0.7,
-		LatWeight: 1, DropLossW: 1, ECNLossW: 1,
-		LR: 0.01, Epochs: 1, Seed: 3,
+// gradCheckSamples draws n samples of standard-normal windows with
+// varied targets for the gradient checks.
+func gradCheckSamples(cfg ModelConfig, n int, seed int64) []Sample {
+	rng := stats.NewStream(seed)
+	out := make([]Sample, n)
+	for i := range out {
+		out[i] = Sample{
+			Window:  synthGaussianWindow(rng, cfg.Window, cfg.Features),
+			Latency: 0.3 + 0.1*float64(i),
+			Dropped: i%2 == 0,
+			ECN:     i%2 == 1,
+		}
 	}
+	return out
+}
+
+// checkGradients compares the trainer's analytic mean-loss gradient over
+// one batch of samples with central differences of the mean loss, which
+// it evaluates independently through Forward. It checks every stride-th
+// weight of every parameter and returns how many it checked.
+func checkGradients(t *testing.T, cfg ModelConfig, samples []Sample, stride int) int {
+	t.Helper()
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewStream(9)
-	sample := Sample{Latency: 0.3, Dropped: true, ECN: false}
-	sample.Window = synthGaussianWindow(rng, cfg.Window, cfg.Features)
-
 	lossAt := func() float64 {
-		tr := ForwardWindow(m.Trunk, sample.Window, false)
-		p := m.heads(tr.Outputs)
-		lat, _ := m.Cfg.LatLoss.Eval(p.Latency, sample.Latency, cfg.HuberDelta)
-		drop, _ := WBCE(p.PDrop, 1, cfg.DropWeight)
-		ecn, _ := BCE(p.PECN, 0)
-		return cfg.LatWeight*lat + cfg.DropLossW*drop + cfg.ECNLossW*ecn
+		var sum float64
+		for _, s := range samples {
+			p := m.Forward(s.Window)
+			dropT, ecnT := 0.0, 0.0
+			if s.Dropped {
+				dropT = 1
+			}
+			if s.ECN {
+				ecnT = 1
+			}
+			lat, _ := cfg.LatLoss.Eval(p.Latency, s.Latency, cfg.HuberDelta)
+			drop, _ := WBCE(p.PDrop, dropT, cfg.DropWeight)
+			ecn, _ := BCE(p.PECN, ecnT)
+			sum += cfg.LatWeight*lat + cfg.DropLossW*drop + cfg.ECNLossW*ecn
+		}
+		return sum / float64(len(samples))
 	}
 
-	// Analytic gradients.
-	for _, p := range m.Params() {
-		p.ZeroGrad()
+	// Analytic gradients: one fused forward+backward over the batch.
+	pool := NewPool(1)
+	defer pool.Close()
+	idx := make([]int, len(samples))
+	for i := range idx {
+		idx[i] = i
 	}
-	m.trainStep(sample)
+	newMiniBatchTrainer(m, pool).trainBatch(samplesOf(samples), idx)
 
 	const eps = 1e-6
 	checked := 0
 	for pi, p := range m.Params() {
-		for i := 0; i < len(p.Data); i += 7 { // sample every 7th weight
+		for i := 0; i < len(p.Data); i += stride {
 			orig := p.Data[i]
 			p.Data[i] = orig + eps
 			up := lossAt()
@@ -120,13 +141,30 @@ func TestGradientCheck(t *testing.T) {
 			analytic := p.Grad[i]
 			scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(analytic)))
 			if math.Abs(numeric-analytic)/scale > 1e-4 {
-				t.Fatalf("param %d index %d: analytic %v vs numeric %v", pi, i, analytic, numeric)
+				t.Fatalf("%s batch of %d, param %d index %d: analytic %v vs numeric %v",
+					cfg.CellType, len(samples), pi, i, analytic, numeric)
 			}
 			checked++
 		}
 	}
-	if checked < 30 {
-		t.Fatalf("only %d weights checked", checked)
+	return checked
+}
+
+// Numerical gradient check: the heart of trusting the BPTT code. We
+// perturb every parameter of a small model and compare the trainer's
+// analytic gradient against central differences, for batches of one
+// and of three samples.
+func TestGradientCheck(t *testing.T) {
+	cfg := ModelConfig{
+		Features: 3, Hidden: 4, Layers: 2, Window: 3,
+		HuberDelta: 1, LatLoss: LossHuber, DropWeight: 0.7,
+		LatWeight: 1, DropLossW: 1, ECNLossW: 1,
+		LR: 0.01, Epochs: 1, Seed: 3,
+	}
+	for _, n := range []int{1, 3} {
+		if checked := checkGradients(t, cfg, gradCheckSamples(cfg, n, 9), 7); checked < 30 {
+			t.Fatalf("batch of %d: only %d weights checked", n, checked)
+		}
 	}
 }
 
@@ -234,21 +272,21 @@ func TestDiscretizerRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestStatefulRunnerMatchesForwardWindow: streaming a window through
+// a StatefulModel predicts exactly what Forward predicts for it, and
+// Reset returns the stream to zero state.
 func TestStatefulRunnerMatchesForwardWindow(t *testing.T) {
 	cfg := DefaultModelConfig(4, 5)
 	cfg.Layers = 2
 	m, _ := NewModel(cfg)
 	rng := stats.NewStream(5)
 	window := synthGaussianWindow(rng, 5, 4)
-	tr := ForwardWindow(m.Trunk, window, false)
 	sr := NewStatefulModel(m)
 	var last Prediction
 	for _, x := range window {
 		last = sr.Predict(x)
 	}
-	fromWindow := m.heads(tr.Outputs)
-	if math.Abs(last.Latency-fromWindow.Latency) > 1e-12 ||
-		math.Abs(last.PDrop-fromWindow.PDrop) > 1e-12 {
+	if last != m.Forward(window) {
 		t.Error("stateful inference diverges from windowed forward")
 	}
 	if sr.Steps != 5 {
@@ -449,17 +487,6 @@ func TestEvaluateEmpty(t *testing.T) {
 	}
 }
 
-func TestLSTMStateClone(t *testing.T) {
-	l := NewLSTM(2, 3, stats.NewStream(1))
-	st := l.NewState()
-	st.H[0] = 7
-	cl := st.Clone()
-	cl.H[0] = 9
-	if st.H[0] != 7 {
-		t.Error("Clone aliases memory")
-	}
-}
-
 func TestFineTuneImprovesOnShiftedData(t *testing.T) {
 	// Train on task A (latency = mean of feature 0), then fine-tune on a
 	// shifted task (latency = 1 - mean): fine-tuning should adapt much
@@ -515,47 +542,10 @@ func TestGradientCheckGRUAndMLP(t *testing.T) {
 			LatWeight: 1, DropLossW: 1, ECNLossW: 1,
 			LR: 0.01, Epochs: 1, Seed: 3, CellType: cellType,
 		}
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := stats.NewStream(13)
-		sample := Sample{Latency: 0.4, Dropped: false, ECN: true}
-		sample.Window = synthGaussianWindow(rng, cfg.Window, cfg.Features)
-		lossAt := func() float64 {
-			tr := ForwardWindow(m.Trunk, sample.Window, false)
-			p := m.heads(tr.Outputs)
-			lat, _ := m.Cfg.LatLoss.Eval(p.Latency, sample.Latency, cfg.HuberDelta)
-			drop, _ := WBCE(p.PDrop, 0, cfg.DropWeight)
-			ecn, _ := BCE(p.PECN, 1)
-			return cfg.LatWeight*lat + cfg.DropLossW*drop + cfg.ECNLossW*ecn
-		}
-		for _, p := range m.Params() {
-			p.ZeroGrad()
-		}
-		m.trainStep(sample)
-		const eps = 1e-6
-		checked := 0
-		for pi, p := range m.Params() {
-			for i := 0; i < len(p.Data); i += 5 {
-				orig := p.Data[i]
-				p.Data[i] = orig + eps
-				up := lossAt()
-				p.Data[i] = orig - eps
-				down := lossAt()
-				p.Data[i] = orig
-				numeric := (up - down) / (2 * eps)
-				analytic := p.Grad[i]
-				scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(analytic)))
-				if math.Abs(numeric-analytic)/scale > 1e-4 {
-					t.Fatalf("%s param %d idx %d: analytic %v vs numeric %v",
-						cellType, pi, i, analytic, numeric)
-				}
-				checked++
+		for _, n := range []int{1, 3} {
+			if checked := checkGradients(t, cfg, gradCheckSamples(cfg, n, 13), 5); checked < 12 {
+				t.Fatalf("%s batch of %d: only %d weights checked", cellType, n, checked)
 			}
-		}
-		if checked < 12 {
-			t.Fatalf("%s: only %d weights checked", cellType, checked)
 		}
 	}
 }

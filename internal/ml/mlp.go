@@ -46,11 +46,6 @@ type mlpState struct{ history [][]float64 }
 // FreshState returns an empty input buffer.
 func (m *WindowMLP) FreshState() CellState { return &mlpState{} }
 
-type mlpCache struct {
-	flat []float64
-	h    []float64
-}
-
 func (m *WindowMLP) flatten(history [][]float64) []float64 {
 	flat := Zeros(m.In * m.Window)
 	pad := m.Window - len(history)
@@ -61,7 +56,7 @@ func (m *WindowMLP) flatten(history [][]float64) []float64 {
 }
 
 // StepState appends x to the window buffer and evaluates the layer.
-func (m *WindowMLP) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
+func (m *WindowMLP) StepState(st CellState, x []float64) []float64 {
 	state := st.(*mlpState)
 	state.history = append(state.history, append([]float64(nil), x...))
 	if len(state.history) > m.Window {
@@ -72,31 +67,7 @@ func (m *WindowMLP) StepState(st CellState, x []float64, train bool) ([]float64,
 	for i := range h {
 		h[i] = math.Tanh(h[i] + m.B.Data[i])
 	}
-	if !train {
-		return h, nil
-	}
-	return h, &mlpCache{flat: flat, h: h}
-}
-
-// StepBackward backpropagates one evaluation. The MLP has no recurrent
-// path, so dhPrev is zero: gradient reaches earlier steps only through
-// the model heads (which read the final step), which is exactly the
-// baseline's limitation.
-func (m *WindowMLP) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
-	c := cache.(*mlpCache)
-	da := Zeros(m.Hidden)
-	for j := range da {
-		da[j] = dh[j] * DTanh(c.h[j])
-	}
-	m.W.AddOuterGrad(da, c.flat)
-	for j, d := range da {
-		m.B.Grad[j] += d
-	}
-	dflat := Zeros(len(c.flat))
-	m.W.MulVecT(da, dflat)
-	// dx is the gradient w.r.t. the newest window slot.
-	dx = dflat[len(dflat)-m.In:]
-	return Zeros(m.Hidden), nil, dx
+	return h
 }
 
 var _ Cell = (*WindowMLP)(nil)

@@ -33,12 +33,11 @@ type ModelConfig struct {
 	ClipNorm float64 `json:"clip_norm"`
 	Seed     int64   `json:"seed"`
 
-	// BatchSize selects the trainer: 1 runs the original per-sample
-	// scalar BPTT loop (one optimizer step per sample — the parity
-	// reference), values > 1 run the minibatch trainer (one optimizer
-	// step per batch over fused GEMM passes), and 0 means
-	// DefaultBatchSize. Affects training results, so it participates in
-	// the model cache key.
+	// BatchSize is the minibatch width: one optimizer step per batch of
+	// BatchSize samples over fused GEMM passes, and 0 means
+	// DefaultBatchSize. 1 runs batches of one, bitwise identical to the
+	// retired per-sample scalar trainer (TestTrainB1Golden). Affects
+	// training results, so it participates in the model cache key.
 	BatchSize int `json:"batch_size,omitempty"`
 
 	// CellType selects the trunk class: "lstm" (default), "gru", or
@@ -54,10 +53,9 @@ func DefaultModelConfig(features, window int) ModelConfig {
 		HuberDelta: 1.0, LatLoss: LossHuber, DropWeight: 0.7,
 		LatWeight: 2.0, DropLossW: 1.0, ECNLossW: 0.5,
 		LR: 3e-3, Epochs: 4, ClipNorm: 5.0, Seed: 1,
-		// Explicit (not 0) so the trainer choice is visible in the
-		// serialized config and in model cache keys: models trained by
-		// the minibatch path must not collide with sequentially trained
-		// ones.
+		// Explicit (not 0) so the batch size is visible in the
+		// serialized config and in model cache keys: models trained at
+		// different batch sizes must not collide.
 		BatchSize: DefaultBatchSize,
 	}
 }
@@ -159,64 +157,15 @@ func (m *Model) Params() []*Matrix {
 	return ps
 }
 
-func (m *Model) heads(h []float64) Prediction {
-	return Prediction{
-		Latency: Sigmoid(m.LatHead.Forward(h)[0]),
-		PDrop:   Sigmoid(m.DropHead.Forward(h)[0]),
-		PECN:    Sigmoid(m.ECNHead.Forward(h)[0]),
-	}
-}
-
-// Forward predicts for one window (inference).
+// Forward predicts for one window (inference): the window's packets
+// stepped through the trunk from zero state, then the heads.
 func (m *Model) Forward(window [][]float64) Prediction {
-	tr := ForwardWindow(m.Trunk, window, false)
-	return m.heads(tr.Outputs)
-}
-
-// trainStep runs forward+backward for one sample and returns the loss.
-func (m *Model) trainStep(s Sample) float64 {
-	return m.trainStepWindow(s.Window, s.Latency, s.Dropped, s.ECN)
-}
-
-// trainStepWindow is trainStep over an explicit window and targets, so
-// columnar sources can feed the scalar path without materializing a
-// Sample.
-func (m *Model) trainStepWindow(window [][]float64, latency float64, dropped, ecn bool) float64 {
-	tr := ForwardWindow(m.Trunk, window, true)
-	h := tr.Outputs
-	pred := m.heads(h)
-
-	latTarget := latency
-	dropTarget, ecnTarget := 0.0, 0.0
-	if dropped {
-		dropTarget = 1
+	r := NewStatefulRunner(m.Trunk)
+	var h []float64
+	for _, x := range window {
+		h = r.Step(x)
 	}
-	if ecn {
-		ecnTarget = 1
-	}
-
-	latLoss, dLat := m.Cfg.LatLoss.Eval(pred.Latency, latTarget, m.Cfg.HuberDelta)
-	var dropLoss, dDrop float64
-	if m.Cfg.DropWeight > 0 {
-		dropLoss, dDrop = WBCE(pred.PDrop, dropTarget, m.Cfg.DropWeight)
-	} else {
-		dropLoss, dDrop = BCE(pred.PDrop, dropTarget)
-	}
-	ecnLoss, dECN := BCE(pred.PECN, ecnTarget)
-
-	total := m.Cfg.LatWeight*latLoss + m.Cfg.DropLossW*dropLoss + m.Cfg.ECNLossW*ecnLoss
-
-	// Backprop through sigmoid heads into the shared hidden state.
-	dLatLogit := m.Cfg.LatWeight * dLat * DSigmoid(pred.Latency)
-	dDropLogit := m.Cfg.DropLossW * dDrop * DSigmoid(pred.PDrop)
-	dECNLogit := m.Cfg.ECNLossW * dECN * DSigmoid(pred.PECN)
-
-	dh := Zeros(len(h))
-	AddTo(dh, m.LatHead.Backward(h, []float64{dLatLogit}))
-	AddTo(dh, m.DropHead.Backward(h, []float64{dDropLogit}))
-	AddTo(dh, m.ECNHead.Backward(h, []float64{dECNLogit}))
-	tr.Backward(dh)
-	return total
+	return m.headsRow(h)
 }
 
 // TrainResult reports per-epoch average losses and total wall-clock-free
@@ -227,8 +176,7 @@ type TrainResult struct {
 }
 
 // Train fits the model to samples with Adam, shuffling each epoch. It is
-// TrainContext without cancellation or progress reporting; the trainer
-// (scalar vs minibatch) is selected by Cfg.BatchSize.
+// TrainContext without cancellation or progress reporting.
 func (m *Model) Train(samples []Sample) TrainResult {
 	res, _ := m.TrainContext(context.Background(), samples, TrainOpts{})
 	return res
@@ -238,7 +186,9 @@ func (m *Model) Train(samples []Sample) TrainResult {
 // epoch. Cancellation is honored between optimizer steps (parameters are
 // never left mid-update; pending gradients are dropped), in which case
 // the partial result and ctx's error are returned. opts.Progress, when
-// non-nil, receives one report per finished epoch.
+// non-nil, receives one report per finished epoch. Samples must share
+// one non-empty window length; otherwise TrainContext returns an error
+// and leaves the weights untouched.
 //
 // When opts.ResumeFrom carries a checkpoint, weights, optimizer moments,
 // shuffle permutation, and RNG position are restored first and training
@@ -259,14 +209,7 @@ func (m *Model) TrainSource(src SampleSource) TrainResult {
 // a SampleView is bitwise identical to training over the equivalent
 // []Sample: both feed the same float values through the same loops.
 func (m *Model) TrainSourceContext(ctx context.Context, src SampleSource, opts TrainOpts) (TrainResult, error) {
-	rng := stats.NewStream(m.Cfg.Seed + 1)
-	if ck := opts.ResumeFrom; ck != nil {
-		if err := m.restoreCheckpoint(ck, src.Len()); err != nil {
-			return TrainResult{Samples: src.Len()}, err
-		}
-		rng = stats.RestoreStream(ck.RNG)
-	}
-	return m.fit(ctx, m.Cfg.LR, rng, src, m.Cfg.Epochs, opts)
+	return m.fit(ctx, m.Cfg.LR, stats.NewStream(m.Cfg.Seed+1), src, m.Cfg.Epochs, opts)
 }
 
 // EvalResult aggregates test-set quality per task.
@@ -531,7 +474,7 @@ func NewStatefulModel(m *Model) *StatefulModel {
 func (s *StatefulModel) Predict(x []float64) Prediction {
 	s.Steps++
 	h := s.runner.Step(x)
-	return s.model.heads(h)
+	return s.model.headsRow(h)
 }
 
 // Advance updates hidden state for a feeder packet and discards the

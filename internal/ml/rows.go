@@ -30,13 +30,20 @@ type kMajor struct {
 
 // newKMajor copies m into k-major order.
 func newKMajor(m *Matrix) kMajor {
-	t := kMajor{rows: m.Rows, data: make([]float64, len(m.Data))}
+	var t kMajor
+	t.load(m)
+	return t
+}
+
+// load copies m into k-major order, reusing t's buffer.
+func (t *kMajor) load(m *Matrix) {
+	t.rows = m.Rows
+	t.data = growFloats(t.data, len(m.Data))
 	for r := 0; r < m.Rows; r++ {
 		for k, w := range m.Data[r*m.Cols : (r+1)*m.Cols] {
 			t.data[k*m.Rows+r] = w
 		}
 	}
-	return t
 }
 
 // accRows accumulates, for every output row r in [r0, r0+len(acc)),

@@ -102,20 +102,6 @@ func (m *Matrix) AddOuterGrad(dy, x []float64) {
 	}
 }
 
-// MulVecT computes out += Mᵀ * dy (backprop of y = Mx into x).
-func (m *Matrix) MulVecT(dy, out []float64) {
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		d := dy[r]
-		if d == 0 {
-			continue
-		}
-		for c, v := range row {
-			out[c] += v * d
-		}
-	}
-}
-
 // matrixJSON is the serialization form of a Matrix.
 type matrixJSON struct {
 	Rows int       `json:"rows"`
@@ -146,13 +132,6 @@ func (m *Matrix) UnmarshalJSON(b []byte) error {
 
 // Zeros returns a zero vector of length n.
 func Zeros(n int) []float64 { return make([]float64, n) }
-
-// AddTo accumulates src into dst.
-func AddTo(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
 
 // Sigmoid is the logistic function.
 func Sigmoid(x float64) float64 {

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -9,21 +10,22 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// This file implements the training half of the batched engine: minibatch
-// BPTT for the trunk cells and heads, expressed as the same cache-blocked
-// pool-parallel GEMMs the inference path uses (MulLanes for forward,
-// MulLanesT / AddGradLanes for backward). One optimizer step is applied
-// per batch to the mean-loss gradient; Adam and gradient clipping keep
-// their exact per-update semantics.
+// This file implements the trainer: minibatch BPTT for the trunk cells
+// and heads, expressed as the same cache-blocked pool-parallel GEMMs the
+// batched engine uses (MulLanes for forward, MulLanesT / AddGradLanes
+// for backward). One optimizer step is applied per batch to the
+// mean-loss gradient; Adam and gradient clipping keep their exact
+// per-update semantics. It is the only trainer: BatchSize 1 runs
+// batches of one, which TestTrainB1Golden pins bitwise to the per-sample
+// scalar BPTT trainer it replaced. Every cell keeps that trainer's
+// per-element arithmetic order, and the GRU candidate chain starts at
+// ax+b exactly as in inference (GRU.StepState and StepBatch).
 //
-// Determinism contract: the minibatch trainer is NOT required to be
-// bitwise equal to the scalar per-sample path (it takes B× fewer
-// optimizer steps on averaged gradients — a different, healthier descent
-// trajectory), but for a fixed seed and batch size it IS bitwise
-// reproducible run to run and across worker counts: every gradient
-// element is reduced over lanes in a fixed ascending order by exactly
-// one pool task (see AddGradLanes), and sample order is the same
-// seed-derived shuffle the scalar path uses.
+// Determinism contract: for a fixed seed and batch size, training is
+// bitwise reproducible run to run and across worker counts: every
+// gradient element is reduced over lanes in a fixed ascending order by
+// exactly one pool task (see AddGradLanes), and sample order is a
+// seed-derived shuffle.
 
 // DefaultBatchSize is the minibatch width used when ModelConfig.BatchSize
 // is zero.
@@ -69,48 +71,41 @@ type TrainOpts struct {
 }
 
 // fit is the shared training loop behind Train/TrainContext/FineTune:
-// shuffle each epoch with rng, run forward+backward per batch, clip, and
-// apply one optimizer step per batch. BatchSize 1 reproduces the original
-// scalar loop bit for bit (same shuffle stream, one step per sample).
-// The source may be a legacy []Sample adapter or a columnar SampleView;
-// the two are bitwise interchangeable.
+// shuffle each epoch with rng, run one fused forward+backward per batch,
+// clip, and apply one optimizer step per batch. The source may be a
+// legacy []Sample adapter or a columnar SampleView; the two are bitwise
+// interchangeable. Ragged or empty windows are an error, returned before
+// any weight is touched.
 func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src SampleSource, epochs int, opts TrainOpts) (TrainResult, error) {
 	params := m.Params()
 	count := src.Len()
 	res := TrainResult{Samples: count}
+	if count > 0 && src.Steps() < 1 {
+		return res, errors.New("ml: training windows must be non-empty and of one length")
+	}
 	B := m.Cfg.batchSize()
-	var bt *miniBatchTrainer
-	if B > 1 && src.Steps() > 0 {
-		pool := opts.Pool
-		if pool == nil {
-			pool = SharedPool()
-		}
-		bt = newMiniBatchTrainer(m, pool)
-	} else {
-		// Ragged or empty windows (never produced by the dataset
-		// builder, but legal inputs): the scalar path handles them.
-		B = 1
+	pool := opts.Pool
+	if pool == nil {
+		pool = SharedPool()
 	}
+	bt := newMiniBatchTrainer(m, pool)
 	// A batch update sees the mean gradient over B samples — lower
-	// variance and B× fewer steps per epoch than the scalar path. Scale
-	// the Adam step size by √B (the usual Adam batch scaling) so
-	// per-epoch convergence tracks the scalar trainer; Adam's update
-	// rule itself is untouched.
-	if B > 1 {
-		lr *= math.Sqrt(float64(B))
-	}
-	opt := NewAdam(lr)
+	// variance and B× fewer steps per epoch than B=1. Scale the Adam
+	// step size by √B (the usual Adam batch scaling) so per-epoch
+	// convergence tracks B=1; Adam's update rule itself is untouched.
+	opt := NewAdam(lr * math.Sqrt(float64(B)))
 	idx := make([]int, count)
 	for i := range idx {
 		idx[i] = i
 	}
 	startEpoch := 0
 	if ck := opts.ResumeFrom; ck != nil {
-		// Weights were restored by TrainContext; rebuild the loop-local
-		// state here so the continuation replays the exact trajectory.
-		if ck.Epoch > epochs {
-			return res, fmt.Errorf("ml: resume epoch %d beyond %d", ck.Epoch, epochs)
+		// Restore weights, optimizer moments, shuffle permutation and
+		// RNG position so the continuation replays the exact trajectory.
+		if err := m.restoreCheckpoint(ck, count); err != nil {
+			return res, err
 		}
+		rng = stats.RestoreStream(ck.RNG)
 		copy(idx, ck.Idx)
 		if err := opt.SetState(params, ck.Opt); err != nil {
 			return res, err
@@ -118,7 +113,6 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 		res.EpochLoss = append(res.EpochLoss, ck.EpochLoss...)
 		startEpoch = ck.Epoch
 	}
-	var winBuf [][]float64 // scalar-path window gather, reused across samples
 	for epoch := startEpoch; epoch < epochs; epoch++ {
 		start := time.Now()
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -133,15 +127,7 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 				}
 				return res, err
 			}
-			if bt != nil {
-				hi := min(lo+B, len(idx))
-				sum += bt.trainBatch(src, idx[lo:hi])
-			} else {
-				i := idx[lo]
-				winBuf = src.WindowAppend(winBuf[:0], i)
-				lat, dropped, ecn := src.Target(i)
-				sum += m.trainStepWindow(winBuf, lat, dropped, ecn)
-			}
+			sum += bt.trainBatch(src, idx[lo:min(lo+B, len(idx))])
 			if m.Cfg.ClipNorm > 0 {
 				ClipGrads(params, m.Cfg.ClipNorm)
 			}
@@ -175,21 +161,6 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 	return res, nil
 }
 
-// uniformSteps returns the window length shared by all samples, or 0
-// when samples are empty, ragged, or have empty windows.
-func uniformSteps(samples []Sample) int {
-	if len(samples) == 0 {
-		return 0
-	}
-	steps := len(samples[0].Window)
-	for _, s := range samples {
-		if len(s.Window) != steps {
-			return 0
-		}
-	}
-	return steps
-}
-
 // trainLayer is one trunk layer able to run fused minibatch training
 // steps over n lanes (one lane = one sample of the batch).
 type trainLayer interface {
@@ -207,8 +178,8 @@ type trainLayer interface {
 	backward(st, n int, dhIn, dx []float64)
 }
 
-// newTrainLayer picks the fused trainer for a cell, falling back to the
-// scalar per-lane path for cell types without one.
+// newTrainLayer picks the fused trainer for a cell. Every cell class
+// NewModel and UnmarshalJSON can build has one.
 func newTrainLayer(c Cell, pool *Pool) trainLayer {
 	switch l := c.(type) {
 	case *LSTM:
@@ -218,7 +189,7 @@ func newTrainLayer(c Cell, pool *Pool) trainLayer {
 	case *WindowMLP:
 		return &mlpTrainLayer{m: l, pool: pool}
 	}
-	return &genericTrainLayer{c: c}
+	panic(fmt.Sprintf("ml: no trainer for cell type %q", c.CellType()))
 }
 
 // miniBatchTrainer runs fused forward+backward passes for whole
@@ -334,9 +305,9 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 		}
 	})
 
-	// Backward: steps descending, layers top to bottom — the batched
-	// mirror of Trace.Backward. dOut enters the top layer at the final
-	// step only; each layer's dx feeds the layer below's dhIn.
+	// Backward: steps descending, layers top to bottom. dOut enters the
+	// top layer at the final step only; each layer's dx feeds the layer
+	// below's dhIn.
 	for st := steps - 1; st >= 0; st-- {
 		var dhIn []float64
 		if st == steps-1 {
@@ -452,7 +423,7 @@ func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
 			if dhIn != nil {
 				dhv += dhIn[a*H+j]
 			}
-			// Mirrors stepBackward: h = o·tanh(c), c = f·cPrev + i·g.
+			// h = o·tanh(c), c = f·cPrev + i·g.
 			i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
 			do := dhv * tc
 			dcTotal := t.dc[a*H+j] + dhv*o_*DTanh(tc)
@@ -470,27 +441,30 @@ func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	l.Wh.AddGradLanes(0, 4*H, t.dz, 4*H, n, t.chPrev[base:base+n*H], t.pool)
 	addBiasGradLanes(l.B, 0, 4*H, t.dz, 4*H, n)
 	if dx != nil {
+		zeroRange(dx[:n*In])
 		l.Wx.MulLanesT(0, 4*H, t.dz, 4*H, n, dx, t.pool)
 	}
-	// dh was consumed above; overwrite it with the carry for step st-1.
+	// dh was consumed above; it becomes the carry for step st-1.
+	zeroRange(t.dh[:n*H])
 	l.Wh.MulLanesT(0, 4*H, t.dz, 4*H, n, t.dh, t.pool)
 }
 
 // gruTrainLayer runs fused minibatch BPTT for one GRU layer. The
-// candidate pre-activation consumes r⊙h, so each step needs a third
-// GEMM after the gate pass (exactly like the inference StepBatch).
+// candidate pre-activation consumes r⊙h, so it follows the gate pass
+// per lane through the row kernel, seeded with ax+b exactly like the
+// inference StepBatch and StepState.
 type gruTrainLayer struct {
 	g    *GRU
 	pool *Pool
 
 	n, steps int
+	whT      kMajor    // k-major copy of Wh, refreshed per batch
 	h        []float64 // running state, n×H
 	dh       []float64 // recurrent gradient carry, n×H
-	ax, ac   []float64 // pre-activation scratch, n×3H
+	ax       []float64 // input pre-activations, n×3H
+	ah       []float64 // z/r recurrent pre-activations, n×2H
 	da       []float64 // pre-activation gradients, n×3H
 	drh      []float64 // gradient at r⊙h, n×H
-	dhAcc    []float64 // dhPrev accumulator, n×H
-	scr      []float64 // MulLanesT scratch, n×H
 
 	cx                       []float64 // steps×n×In
 	chPrev, cz, cr, chh, crh []float64 // steps×n×H
@@ -499,14 +473,13 @@ type gruTrainLayer struct {
 func (t *gruTrainLayer) begin(n, steps int) {
 	H, In := t.g.Hidden, t.g.In
 	t.n, t.steps = n, steps
+	t.whT.load(t.g.Wh)
 	t.h = growFloats(t.h, n*H)
 	t.dh = growFloats(t.dh, n*H)
 	t.ax = growFloats(t.ax, n*3*H)
-	t.ac = growFloats(t.ac, n*3*H)
+	t.ah = growFloats(t.ah, n*2*H)
 	t.da = growFloats(t.da, n*3*H)
 	t.drh = growFloats(t.drh, n*H)
-	t.dhAcc = growFloats(t.dhAcc, n*H)
-	t.scr = growFloats(t.scr, n*H)
 	t.cx = growFloats(t.cx, steps*n*In)
 	t.chPrev = growFloats(t.chPrev, steps*n*H)
 	t.cz = growFloats(t.cz, steps*n*H)
@@ -524,39 +497,32 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 	base := st * n * H
 	copy(t.chPrev[base:base+n*H], t.h[:n*H])
 	g.Wx.MulLanes(0, 3*H, xs, n, t.ax, 3*H, t.pool)
-	g.Wh.MulLanes(0, 2*H, t.h, n, t.ac, 3*H, t.pool)
+	g.Wh.MulLanes(0, 2*H, t.h, n, t.ah, 2*H, t.pool)
 	bias := g.B.Data
-	wide := gemmKernel().wideGates
+	kern := gemmKernel()
 	t.pool.For(n, func(a int) {
 		ax := t.ax[a*3*H : (a+1)*3*H]
-		ac := t.ac[a*3*H : (a+1)*3*H]
-		// Same ax + ac + bias association as StepState; z and r land
-		// directly in the per-step caches.
+		ah := t.ah[a*2*H : (a+1)*2*H]
+		// Same ax + ah + bias association as StepState; z, r, r⊙h and
+		// the candidate land directly in the per-step caches.
 		for j := 0; j < 2*H; j++ {
-			ax[j] = ax[j] + ac[j] + bias[j]
+			ax[j] = ax[j] + ah[j] + bias[j]
 		}
 		cz := t.cz[base+a*H : base+(a+1)*H]
 		cr := t.cr[base+a*H : base+(a+1)*H]
 		crh := t.crh[base+a*H : base+(a+1)*H]
-		sigmoidLanes(cz, ax[:H], wide)
-		sigmoidLanes(cr, ax[H:2*H], wide)
+		chh := t.chh[base+a*H : base+(a+1)*H]
+		sigmoidLanes(cz, ax[:H], kern.wideGates)
+		sigmoidLanes(cr, ax[H:2*H], kern.wideGates)
 		hRow := t.h[a*H : (a+1)*H]
 		for j := 0; j < H; j++ {
 			crh[j] = cr[j] * hRow[j]
 		}
-	})
-	// Candidate recurrent pre-activation over r⊙h (must follow r).
-	g.Wh.MulLanes(2*H, 3*H, t.crh[base:base+n*H], n, t.ac, 3*H, t.pool)
-	t.pool.For(n, func(a int) {
-		ax := t.ax[a*3*H : (a+1)*3*H]
-		ac := t.ac[a*3*H : (a+1)*3*H]
-		chh := t.chh[base+a*H : base+(a+1)*H]
 		for j := 0; j < H; j++ {
-			chh[j] = ax[2*H+j] + ac[2*H+j] + bias[2*H+j]
+			chh[j] = ax[2*H+j] + bias[2*H+j]
 		}
-		tanhLanes(chh, chh, wide)
-		cz := t.cz[base+a*H : base+(a+1)*H]
-		hRow := t.h[a*H : (a+1)*H]
+		accRows(chh, t.whT, 2*H, crh, kern.rows)
+		tanhLanes(chh, chh, kern.wideGates)
 		hsRow := hs[a*H : (a+1)*H]
 		for j := 0; j < H; j++ {
 			hsRow[j] = (1-cz[j])*hRow[j] + cz[j]*chh[j]
@@ -576,22 +542,23 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 			if dhIn != nil {
 				dhv += dhIn[a*H+j]
 			}
-			// h' = (1-z)·h + z·ĥ (mirrors GRU.StepBackward).
+			// h' = (1-z)·h + z·ĥ; dh restarts as the carry to step st-1.
 			z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
 			dz := dhv * (hHat - hPrev)
 			t.da[a*3*H+j] = dz * DSigmoid(z)
 			t.da[a*3*H+2*H+j] = dhv * z * DTanh(hHat)
-			t.dhAcc[a*H+j] = dhv * (1 - z)
+			t.dh[a*H+j] = dhv * (1 - z)
 		}
 	})
 	// Gradient at r⊙h through the candidate rows of Wh.
+	zeroRange(t.drh[:n*H])
 	g.Wh.MulLanesT(2*H, 3*H, t.da, 3*H, n, t.drh, t.pool)
 	t.pool.For(n, func(a int) {
 		for j := 0; j < H; j++ {
 			k := base + a*H + j
 			dr := t.drh[a*H+j] * t.chPrev[k]
 			t.da[a*3*H+H+j] = dr * DSigmoid(t.cr[k])
-			t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
+			t.dh[a*H+j] += t.drh[a*H+j] * t.cr[k]
 		}
 	})
 	g.Wx.AddGradLanes(0, 3*H, t.da, 3*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
@@ -599,13 +566,11 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	g.Wh.AddGradLanes(0, 2*H, t.da, 3*H, n, t.chPrev[base:base+n*H], t.pool)
 	g.Wh.AddGradLanes(2*H, 3*H, t.da, 3*H, n, t.crh[base:base+n*H], t.pool)
 	addBiasGradLanes(g.B, 0, 3*H, t.da, 3*H, n)
-	g.Wh.MulLanesT(0, 2*H, t.da, 3*H, n, t.scr, t.pool)
-	t.pool.For(n, func(a int) {
-		for j := 0; j < H; j++ {
-			t.dh[a*H+j] = t.dhAcc[a*H+j] + t.scr[a*H+j]
-		}
-	})
+	// The z/r rows' terms accumulate onto the carry row by row, after
+	// the (1-z) and r terms: the order TestTrainB1Golden pins.
+	g.Wh.MulLanesT(0, 2*H, t.da, 3*H, n, t.dh, t.pool)
 	if dx != nil {
+		zeroRange(dx[:n*In])
 		g.Wx.MulLanesT(0, 3*H, t.da, 3*H, n, dx, t.pool)
 	}
 }
@@ -614,8 +579,8 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 // is restricted to a single (top) layer and the heads read only the
 // final step's output, so per-step evaluation is wasted work at train
 // time: the layer buffers the window and runs one GEMM at the final
-// step. Non-final steps contribute no gradient (StepBackward returns a
-// zero dhPrev), so skipping them is exact, not an approximation.
+// step. Non-final steps contribute no gradient (the MLP carries nothing
+// from step to step), so skipping them is exact, not an approximation.
 type mlpTrainLayer struct {
 	m    *WindowMLP
 	pool *Pool
@@ -674,54 +639,4 @@ func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
 	})
 	t.m.W.AddGradLanes(0, H, t.da, H, n, t.flat, t.pool)
 	addBiasGradLanes(t.m.B, 0, H, t.da, H, n)
-}
-
-// genericTrainLayer is the scalar fallback for cells without a fused
-// trainer: StepState/StepBackward per lane in ascending-lane order.
-// It runs serially — StepBackward accumulates into shared parameter
-// gradients — and exists so a new Cell implementation trains correctly
-// (if slowly) before it grows a fused path.
-type genericTrainLayer struct {
-	c      Cell
-	states []CellState
-	caches [][]CellCache // [step][lane]
-	dh     [][]float64
-	dc     [][]float64
-}
-
-func (t *genericTrainLayer) begin(n, steps int) {
-	t.states = make([]CellState, n)
-	t.dh = make([][]float64, n)
-	t.dc = make([][]float64, n)
-	for a := 0; a < n; a++ {
-		t.states[a] = t.c.FreshState()
-		t.dh[a] = Zeros(t.c.HiddenSize())
-	}
-	t.caches = make([][]CellCache, steps)
-	for i := range t.caches {
-		t.caches[i] = make([]CellCache, n)
-	}
-}
-
-func (t *genericTrainLayer) forward(st, n int, xs, hs []float64) {
-	in, H := t.c.InSize(), t.c.HiddenSize()
-	for a := 0; a < n; a++ {
-		h, cache := t.c.StepState(t.states[a], xs[a*in:(a+1)*in], true)
-		t.caches[st][a] = cache
-		copy(hs[a*H:(a+1)*H], h)
-	}
-}
-
-func (t *genericTrainLayer) backward(st, n int, dhIn, dx []float64) {
-	in, H := t.c.InSize(), t.c.HiddenSize()
-	for a := 0; a < n; a++ {
-		if dhIn != nil {
-			AddTo(t.dh[a], dhIn[a*H:(a+1)*H])
-		}
-		dhPrev, dcPrev, dxv := t.c.StepBackward(t.caches[st][a], t.dh[a], t.dc[a])
-		t.dh[a], t.dc[a] = dhPrev, dcPrev
-		if dx != nil {
-			copy(dx[a*in:(a+1)*in], dxv)
-		}
-	}
 }

@@ -21,32 +21,31 @@ func cellConfigs() map[string]ModelConfig {
 }
 
 // TestBatchedGradMatchesSequential is the core correctness check of the
-// minibatch trainer: for every trunk class, the fused batched
-// forward+backward must produce (up to float reassociation) the same
-// parameter gradients as averaging the scalar per-sample passes.
+// minibatch trainer: for every trunk class, one fused batch of n samples
+// must produce (up to float reassociation) the mean of the parameter
+// gradients of n batches of one.
 func TestBatchedGradMatchesSequential(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
 	for name, cfg := range cellConfigs() {
 		t.Run(name, func(t *testing.T) {
-			samples := synthSamples(9, cfg.Features, cfg.Window, 31)
-			idx := make([]int, len(samples))
+			src := samplesOf(synthSamples(9, cfg.Features, cfg.Window, 31))
+			idx := make([]int, src.Len())
 			for i := range idx {
 				idx[i] = i
 			}
 
 			seq, _ := NewModel(cfg)
-			for _, s := range samples {
-				seq.trainStep(s)
+			st := newMiniBatchTrainer(seq, pool)
+			for _, i := range idx {
+				st.trainBatch(src, []int{i})
 			}
-			// trainStep accumulates without stepping, so seq grads now
-			// hold the sum over samples; the batched pass computes the
-			// mean-loss gradient.
-			scale := 1 / float64(len(samples))
+			// trainBatch accumulates without stepping, so seq grads now
+			// hold the sum over the batches of one.
+			scale := 1 / float64(len(idx))
 
 			bat, _ := NewModel(cfg)
-			bt := newMiniBatchTrainer(bat, pool)
-			bt.trainBatch(samplesOf(samples), idx)
+			newMiniBatchTrainer(bat, pool).trainBatch(src, idx)
 
 			sp, bp := seq.Params(), bat.Params()
 			for pi := range sp {
@@ -54,43 +53,12 @@ func TestBatchedGradMatchesSequential(t *testing.T) {
 					want := sp[pi].Grad[gi] * scale
 					got := bp[pi].Grad[gi]
 					if diff := math.Abs(want - got); diff > 1e-9*(1+math.Abs(want)) {
-						t.Fatalf("param %d grad %d: batched %v vs sequential mean %v", pi, gi, got, want)
+						t.Fatalf("param %d grad %d: batch of %d %v vs mean of batches of one %v",
+							pi, gi, len(idx), got, want)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestGenericTrainLayerMatchesFused pins the scalar fallback layer to
-// the fused LSTM trainer: a hypothetical future cell class without a
-// fused path must still train with correct gradients.
-func TestGenericTrainLayerMatchesFused(t *testing.T) {
-	pool := NewPool(1)
-	defer pool.Close()
-	cfg := cellConfigs()["lstm"]
-	samples := synthSamples(6, cfg.Features, cfg.Window, 17)
-	idx := []int{0, 1, 2, 3, 4, 5}
-
-	fused, _ := NewModel(cfg)
-	bt := newMiniBatchTrainer(fused, pool)
-	bt.trainBatch(samplesOf(samples), idx)
-
-	gen, _ := NewModel(cfg)
-	gt := newMiniBatchTrainer(gen, pool)
-	for i := range gt.layers {
-		gt.layers[i] = &genericTrainLayer{c: gen.Trunk[i]}
-	}
-	gt.trainBatch(samplesOf(samples), idx)
-
-	fp, gp := fused.Params(), gen.Params()
-	for pi := range fp {
-		for gi := range fp[pi].Grad {
-			a, b := fp[pi].Grad[gi], gp[pi].Grad[gi]
-			if diff := math.Abs(a - b); diff > 1e-9*(1+math.Abs(a)) {
-				t.Fatalf("param %d grad %d: fused %v vs generic %v", pi, gi, a, b)
-			}
-		}
 	}
 }
 
@@ -136,10 +104,9 @@ func TestBatchedTrainerDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchedSequentialParity trains the same architecture with the
-// retained sequential trainer (BatchSize 1) and the minibatch trainer
-// and requires both to land at comparable held-out quality. The
-// trajectories differ by construction (B× fewer optimizer steps on
+// TestBatchedSequentialParity trains the same architecture at BatchSize
+// 1 and 16 and requires both to land at comparable held-out quality.
+// The trajectories differ by construction (B× fewer optimizer steps on
 // averaged gradients), so this is a tolerance check, not bitwise.
 func TestBatchedSequentialParity(t *testing.T) {
 	cfg := DefaultModelConfig(2, 4)
@@ -270,25 +237,32 @@ func TestFineTuneContextUsesBatchedPath(t *testing.T) {
 	}
 }
 
-// TestRaggedWindowsFallBackToScalar: samples with unequal window lengths
-// cannot be fused; fit must silently use the scalar path (batch size 1
-// in progress reports) and still train.
-func TestRaggedWindowsFallBackToScalar(t *testing.T) {
+// TestRaggedWindowsRejected: samples with unequal or empty windows
+// cannot be fused, so training and fine-tuning return an error and leave
+// the weights untouched.
+func TestRaggedWindowsRejected(t *testing.T) {
 	cfg := DefaultModelConfig(2, 4)
 	cfg.Hidden = 6
 	cfg.Epochs = 1
-	m, _ := NewModel(cfg)
-	samples := synthSamples(20, 2, 4, 37)
-	samples = append(samples, synthSamples(5, 2, 3, 39)...)
-	var prog []TrainProgress
-	_, err := m.TrainContext(context.Background(), samples, TrainOpts{
-		Progress: func(p TrainProgress) { prog = append(prog, p) },
-	})
-	if err != nil {
-		t.Fatalf("TrainContext: %v", err)
-	}
-	if len(prog) != 1 || prog[0].BatchSize != 1 {
-		t.Fatalf("expected scalar fallback (batch size 1), got %+v", prog)
+	ragged := synthSamples(20, 2, 4, 37)
+	ragged = append(ragged, synthSamples(5, 2, 3, 39)...)
+	empty := []Sample{{Latency: 0.5}, {Latency: 0.2}}
+	for name, samples := range map[string][]Sample{"ragged": ragged, "empty": empty} {
+		m, _ := NewModel(cfg)
+		before := snapshotParams(m)
+		if _, err := m.TrainContext(context.Background(), samples, TrainOpts{}); err == nil {
+			t.Errorf("%s: TrainContext accepted the windows", name)
+		}
+		if _, err := m.FineTuneContext(context.Background(), samples, 1, 0, TrainOpts{}); err == nil {
+			t.Errorf("%s: FineTuneContext accepted the windows", name)
+		}
+		for pi, p := range m.Params() {
+			for di := range p.Data {
+				if p.Data[di] != before[pi][di] {
+					t.Fatalf("%s: param %d changed", name, pi)
+				}
+			}
+		}
 	}
 }
 

@@ -9,10 +9,11 @@ package ml
 // early-window zero padding resolved by index math against a single
 // shared zero row.
 //
-// Both layouts describe identical float values, and every consumer
-// (scalar trainer, minibatch trainer, Evaluate, FineTune) reads them
+// Both layouts describe identical float values, and every consumer (the
+// minibatch trainer behind Train and FineTune, and Evaluate) reads them
 // through the SampleSource interface below, so training over a view is
-// bitwise identical to training over the equivalent []Sample.
+// bitwise identical to training over the equivalent []Sample. There is
+// one trainer; BatchSize 1 runs it over batches of one.
 
 // SampleSource is the trainer-facing read interface over a dataset: a
 // []Sample slice (via samplesOf) or a columnar SampleView. Windows are
@@ -22,15 +23,15 @@ type SampleSource interface {
 	// Len is the number of samples.
 	Len() int
 	// Steps is the uniform window length shared by all samples, or 0
-	// when samples are empty, ragged, or have empty windows (the scalar
-	// trainer handles those; the minibatch trainer requires Steps > 0).
+	// when samples are empty, ragged, or have empty windows (which the
+	// trainer rejects).
 	Steps() int
 	// Row returns window row st of sample i without copying. The slice
 	// must be treated as read-only and is only valid until the next
 	// call for sources that synthesize rows.
 	Row(i, st int) []float64
 	// WindowAppend appends sample i's window rows to buf and returns
-	// it — the zero-copy bridge to the [][]float64 ForwardWindow path.
+	// it — the zero-copy bridge to the [][]float64 Forward path.
 	WindowAppend(buf [][]float64, i int) [][]float64
 	// Target returns sample i's training targets.
 	Target(i int) (latency float64, dropped, ecn bool)
@@ -211,4 +212,19 @@ func (c *samplesSource) WindowAppend(buf [][]float64, i int) [][]float64 {
 func (c *samplesSource) Target(i int) (latency float64, dropped, ecn bool) {
 	s := &c.s[i]
 	return s.Latency, s.Dropped, s.ECN
+}
+
+// uniformSteps returns the window length shared by all samples, or 0
+// when samples are empty, ragged, or have empty windows.
+func uniformSteps(samples []Sample) int {
+	if len(samples) == 0 {
+		return 0
+	}
+	steps := len(samples[0].Window)
+	for _, s := range samples {
+		if len(s.Window) != steps {
+			return 0
+		}
+	}
+	return steps
 }

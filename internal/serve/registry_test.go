@@ -11,16 +11,22 @@ import (
 	"time"
 
 	"mimicnet/internal/core"
+	"mimicnet/internal/ml"
 )
 
-// fakeModels builds a minimal-but-valid artifact (LoadModels only
-// requires both directions present), cheap enough to stamp per test.
+// fakeModels builds a minimal-but-valid artifact: both directions hold
+// a tiny untrained ml.Model, cheap enough to stamp per test.
 func fakeModels(window int) *core.MimicModels {
-	return &core.MimicModels{
-		Window:  window,
-		Ingress: &core.DirectionModel{},
-		Egress:  &core.DirectionModel{},
+	dir := func() *core.DirectionModel {
+		cfg := ml.DefaultModelConfig(2, window)
+		cfg.Hidden = 2
+		m, err := ml.NewModel(cfg)
+		if err != nil {
+			panic(err)
+		}
+		return &core.DirectionModel{Model: m}
 	}
+	return &core.MimicModels{Window: window, Ingress: dir(), Egress: dir()}
 }
 
 func newTestRegistry(t *testing.T, memCap int) *Registry {

@@ -52,8 +52,7 @@ type JobSpec struct {
 	Layers int    `json:"layers,omitempty"`
 	Epochs int    `json:"epochs,omitempty"`
 	Cell   string `json:"cell,omitempty"` // lstm|gru|mlp
-	// BatchSize selects the minibatch trainer width (0 = engine default;
-	// 1 = the sequential reference path).
+	// BatchSize selects the minibatch trainer width (0 = engine default).
 	BatchSize int `json:"batch_size,omitempty"`
 
 	// Tune, when positive, runs hyper-parameter tuning with this budget
